@@ -16,7 +16,8 @@ from ..neural_net import (
     init_mlp,
     log_softmax,
 )
-from .common import HyperParams, advantage, fragment_returns, sample_policy_action
+from .common import (HyperParams, advantage, fragment_returns, mode_policy,
+                     sample_policy_action)
 
 
 def make_actor_critic(obs_dim: int, n_actions: int, seed, hidden=(256, 256)):
@@ -111,7 +112,10 @@ def collect_fragment(runner, actor: Mlp, critic: Mlp, hp: HyperParams, rng):
 
 
 class A2CTrainer:
-    """num_workers fragment collectors feeding one synchronous learner."""
+    """num_workers fragment collectors feeding one synchronous learner.
+
+    A3C and PPO differ from A2C only in update() and sampling_streams().
+    """
 
     def __init__(self, runners, hp: HyperParams, seed,
                  obs_dim=None, n_actions=None, hidden=(256, 256)):
@@ -120,38 +124,40 @@ class A2CTrainer:
         obs_dim = obs_dim or runners[0].env.observation_dim
         n_actions = n_actions or runners[0].env.action_count
         seq = np.random.SeedSequence(seed)
-        net_seed, sample_seed = seq.spawn(2)
+        net_seed, sample_seed, order_seed = seq.spawn(3)
         self.actor, self.critic = make_actor_critic(obs_dim, n_actions, net_seed,
                                                     hidden)
         self.actor_opt = OptimizerState(lr=hp.alpha)
         self.critic_opt = OptimizerState(lr=hp.alpha)
-        # one action-sampling stream per worker; layout shared with A3C so the
-        # single-worker trainers walk identical parameter trajectories
-        self.sample_rngs = [
-            np.random.default_rng(s) for s in sample_seed.spawn(len(runners))
-        ]
+        self.sample_rngs = self.sampling_streams(sample_seed, len(runners))
+        self.order_rng = np.random.default_rng(order_seed)
         self.env_steps = 0
 
+    def sampling_streams(self, seed: np.random.SeedSequence, n: int) -> list:
+        """One action-sampling stream per worker; A2C and A3C share this
+        layout, so their single-worker runs walk identical trajectories."""
+        return [np.random.default_rng(s) for s in seed.spawn(n)]
+
     def run(self, n_steps: int):
-        """Advance in whole synchronization rounds until n_steps are consumed."""
+        """Advance in whole rounds until n_steps are consumed; each round rolls
+        one fragment per worker, then hands them all to update()."""
         per_round = self.hp.rollout_fragment * len(self.runners)
         rounds = max(1, int(np.ceil(n_steps / per_round)))
         for _ in range(rounds):
-            batches = [
+            self.update([
                 collect_fragment(r, self.actor, self.critic, self.hp, rng)
                 for r, rng in zip(self.runners, self.sample_rngs)
-            ]
-            obs = np.concatenate([b[0] for b in batches])
-            actions = np.concatenate([b[1] for b in batches])
-            returns = np.concatenate([b[2] for b in batches])
-            a_grads, c_grads, _ = a2c_gradients(
-                self.actor, self.critic, obs, actions, returns, self.hp
-            )
-            apply_update(self.actor, self.actor_opt, a_grads, direction="descend")
-            apply_update(self.critic, self.critic_opt, c_grads, direction="descend")
+            ])
             self.env_steps += per_round
 
-    def policy(self):
-        from .common import mode_policy
+    def update(self, batches):
+        """One step on the round's fragments, concatenated."""
+        obs, actions, returns, _ = (np.concatenate(b) for b in zip(*batches))
+        a_grads, c_grads, _ = a2c_gradients(
+            self.actor, self.critic, obs, actions, returns, self.hp
+        )
+        apply_update(self.actor, self.actor_opt, a_grads, direction="descend")
+        apply_update(self.critic, self.critic_opt, c_grads, direction="descend")
 
+    def policy(self):
         return mode_policy(self.actor)

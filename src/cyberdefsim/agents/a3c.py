@@ -1,10 +1,11 @@
 """Asynchronous advantage actor-critic: a parameter server plus free-running
 workers that submit gradients computed on possibly stale snapshots.
 
-The stock trainer interleaves workers deterministically (collect everywhere,
-then apply submissions in a seeded order), which reproduces asynchronous
-staleness while keeping runs bit-reproducible. The server itself is
-lock-protected, so thread-based workers are also supported.
+The stock trainer is A2C's round with one submission per worker: all of a
+round's submissions are computed against one server version, then land in a
+seeded order, so each is stale by the number applied before it and runs stay
+bit-reproducible. The server is lock-protected, so thread-based workers
+(A3CWorker, a3c_worker_step) are also supported.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from ..neural_net import Mlp, OptimizerState, apply_update
 from .common import HyperParams
-from .a2c import a2c_gradients, collect_fragment, make_actor_critic
+from .a2c import A2CTrainer, a2c_gradients, collect_fragment
 
 
 class ParameterServer:
@@ -59,7 +60,7 @@ class ParameterServer:
 
 
 class A3CWorker:
-    """Owns one environment runner and local net copies."""
+    """Owns one environment runner and its action-sampling stream."""
 
     def __init__(self, runner, hp: HyperParams, rng):
         self.runner = runner
@@ -67,66 +68,37 @@ class A3CWorker:
         self.rng = rng
 
     def compute_submission(self, server: ParameterServer):
-        """Pull a snapshot, roll one fragment, return (snapshot_version, grads)."""
-        version, actor, critic = server.snapshot()
+        """Pull a snapshot, roll one fragment, return its gradients."""
+        _version, actor, critic = server.snapshot()
         obs, actions, returns, _ = collect_fragment(
             self.runner, actor, critic, self.hp, self.rng
         )
         a_grads, c_grads, _ = a2c_gradients(actor, critic, obs, actions,
                                             returns, self.hp)
-        return version, a_grads, c_grads
+        return a_grads, c_grads
 
 
 def a3c_worker_step(worker: A3CWorker, server: ParameterServer,
                     hp: HyperParams) -> int:
     """One pull-rollout-submit cycle; returns the server version after apply."""
-    _v, a_grads, c_grads = worker.compute_submission(server)
-    return server.submit(a_grads, c_grads)
+    return server.submit(*worker.compute_submission(server))
 
 
-class A3CTrainer:
-    def __init__(self, runners, hp: HyperParams, seed,
-                 obs_dim=None, n_actions=None, hidden=(256, 256)):
-        self.hp = hp
-        obs_dim = obs_dim or runners[0].env.observation_dim
-        n_actions = n_actions or runners[0].env.action_count
-        seq = np.random.SeedSequence(seed)
-        net_seed, sample_seed, order_seed = seq.spawn(3)
-        worker_seeds = sample_seed.spawn(len(runners))
-        actor, critic = make_actor_critic(obs_dim, n_actions, net_seed, hidden)
-        self.server = ParameterServer(actor, critic, hp)
-        self.workers = [
-            A3CWorker(r, hp, np.random.default_rng(s))
-            for r, s in zip(runners, worker_seeds)
-        ]
-        self.order_rng = np.random.default_rng(order_seed)
-        self.env_steps = 0
+class A3CTrainer(A2CTrainer):
+    """A2C's round loop; each worker's fragment is its own server submission."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.server = ParameterServer(self.actor, self.critic, self.hp)
+        self.workers = [A3CWorker(r, self.hp, rng)
+                        for r, rng in zip(self.runners, self.sample_rngs)]
         self.version_history: list[int] = []
 
-    def run(self, n_steps: int):
-        per_round = self.hp.rollout_fragment * len(self.workers)
-        rounds = max(1, int(np.ceil(n_steps / per_round)))
-        for _ in range(rounds):
-            # all workers roll out against their own (progressively staler)
-            # snapshots, then submissions land in a seeded arrival order
-            submissions = []
-            for w in self.workers:
-                _v, a_grads, c_grads = w.compute_submission(self.server)
-                submissions.append((a_grads, c_grads))
-            for i in self.order_rng.permutation(len(submissions)):
-                version = self.server.submit(*submissions[i])
-                self.version_history.append(version)
-            self.env_steps += per_round
-
-    @property
-    def actor(self) -> Mlp:
-        return self.server._actor
-
-    @property
-    def critic(self) -> Mlp:
-        return self.server._critic
-
-    def policy(self):
-        from .common import mode_policy
-
-        return mode_policy(self.actor)
+    def update(self, batches):
+        # every submission is computed before any lands, so all of them see
+        # one server version; staleness comes only from the apply order
+        submissions = [a2c_gradients(self.actor, self.critic, obs, actions,
+                                     returns, self.hp)[:2]
+                       for obs, actions, returns, _ in batches]
+        for i in self.order_rng.permutation(len(submissions)):
+            self.version_history.append(self.server.submit(*submissions[i]))

@@ -48,13 +48,13 @@ class DqnAgent:
     """Owns the online/target nets, replay buffer, and update cadence."""
 
     def __init__(self, obs_dim: int, n_actions: int, hp: HyperParams, seed,
-                 hidden=(256, 256), optimizer: str = "adam"):
+                 hidden=(256, 256)):
         seq = np.random.SeedSequence(seed)
         net_seed, buf_seed, act_seed = seq.spawn(3)
         self.hp = hp
         self.qnet = init_mlp([obs_dim, *hidden, n_actions], LINEAR, net_seed)
         self.target_net = self.qnet.copy()
-        self.opt = OptimizerState(kind=optimizer, lr=hp.alpha)
+        self.opt = OptimizerState(lr=hp.alpha)
         self.buffer = ReplayBuffer(hp.replay_capacity, np.random.default_rng(buf_seed))
         self.act_rng = np.random.default_rng(act_seed)
         self.env_steps = 0

@@ -6,7 +6,6 @@ import numpy as np
 
 from ..neural_net import (
     Mlp,
-    OptimizerState,
     apply_update,
     backward,
     clip_gradients,
@@ -14,7 +13,7 @@ from ..neural_net import (
     log_softmax,
 )
 from .common import HyperParams, advantage
-from .a2c import collect_fragment, make_actor_critic
+from .a2c import A2CTrainer
 
 
 def ppo_loss(actor: Mlp, obs, actions, advantages, old_logp,
@@ -64,55 +63,26 @@ def ppo_gradients(actor: Mlp, obs, actions, advantages, old_logp,
     return grads
 
 
-class PPOTrainer:
-    """Fragment collection like A2C, then ppo_epochs clipped policy passes."""
+class PPOTrainer(A2CTrainer):
+    """A2C's fragment rounds, then ppo_epochs clipped policy passes per round."""
 
-    def __init__(self, runners, hp: HyperParams, seed,
-                 obs_dim=None, n_actions=None, hidden=(256, 256)):
-        self.runners = runners
-        self.hp = hp
-        obs_dim = obs_dim or runners[0].env.observation_dim
-        n_actions = n_actions or runners[0].env.action_count
-        seq = np.random.SeedSequence(seed)
-        net_seed, sample_seed = seq.spawn(2)
-        self.actor, self.critic = make_actor_critic(obs_dim, n_actions, net_seed,
-                                                    hidden)
-        self.actor_opt = OptimizerState(lr=hp.alpha)
-        self.critic_opt = OptimizerState(lr=hp.alpha)
-        self.sample_rng = np.random.default_rng(sample_seed)
-        self.env_steps = 0
+    def sampling_streams(self, seed: np.random.SeedSequence, n: int) -> list:
+        """One action-sampling stream shared by every worker."""
+        return [np.random.default_rng(seed)] * n
 
-    def run(self, n_steps: int):
-        per_round = self.hp.rollout_fragment * len(self.runners)
-        rounds = max(1, int(np.ceil(n_steps / per_round)))
-        for _ in range(rounds):
-            batches = [
-                collect_fragment(r, self.actor, self.critic, self.hp,
-                                 self.sample_rng)
-                for r in self.runners
-            ]
-            obs = np.concatenate([b[0] for b in batches])
-            actions = np.concatenate([b[1] for b in batches])
-            returns = np.concatenate([b[2] for b in batches])
-            old_logp = np.concatenate([b[3] for b in batches])
+    def update(self, batches):
+        obs, actions, returns, old_logp = (np.concatenate(b)
+                                           for b in zip(*batches))
+        values, _ = forward(self.critic, obs)
+        adv = advantage(returns, values[:, 0])
 
-            values, _ = forward(self.critic, obs)
-            adv = advantage(returns, values[:, 0])
-
-            for _epoch in range(self.hp.ppo_epochs):
-                grads = ppo_gradients(self.actor, obs, actions, adv, old_logp,
-                                      self.hp)
-                apply_update(self.actor, self.actor_opt, grads,
-                             direction="descend")
-                values, c_cache = forward(self.critic, obs)
-                grad_v = (2.0 * (values[:, 0] - returns) / len(returns))[:, None]
-                c_grads = backward(self.critic, c_cache, grad_v)
-                clip_gradients(c_grads, self.hp.grad_clip)
-                apply_update(self.critic, self.critic_opt, c_grads,
-                             direction="descend")
-            self.env_steps += per_round
-
-    def policy(self):
-        from .common import mode_policy
-
-        return mode_policy(self.actor)
+        for _epoch in range(self.hp.ppo_epochs):
+            grads = ppo_gradients(self.actor, obs, actions, adv, old_logp,
+                                  self.hp)
+            apply_update(self.actor, self.actor_opt, grads, direction="descend")
+            values, c_cache = forward(self.critic, obs)
+            grad_v = (2.0 * (values[:, 0] - returns) / len(returns))[:, None]
+            c_grads = backward(self.critic, c_cache, grad_v)
+            clip_gradients(c_grads, self.hp.grad_clip)
+            apply_update(self.critic, self.critic_opt, c_grads,
+                         direction="descend")

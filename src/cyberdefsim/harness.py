@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
@@ -40,6 +41,7 @@ from .neural_net import net_from_dict, net_to_dict
 ALGORITHMS = ("dqn", "a2c", "a3c", "ppo")
 METRICS_COLUMNS = ("seed", "batch", "episodes", "wins", "dwr", "mean_return",
                    "mean_len")
+SWEEP_WORKERS = 2
 
 
 class ConfigError(ValueError):
@@ -80,6 +82,13 @@ class ExperimentConfig:
         for path in (self.graph, self.catalog):
             if path is not None and not Path(path).exists():
                 raise ConfigError(f"referenced file does not exist: {path}")
+        for name, resolve in (("profile", self.resolved_profile),
+                              ("hyperparams", self.resolved_hp)):
+            try:
+                resolve()
+            except (TypeError, ValueError, KeyError) as exc:
+                detail = exc.args[0] if isinstance(exc, KeyError) else exc
+                raise ConfigError(f"bad {name}: {detail}") from exc
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -180,7 +189,6 @@ def _build_runners(config: ExperimentConfig, graph, catalog, profile, hp,
     n_envs = 1 if config.algorithm == "dqn" else hp.num_workers
     seq = np.random.SeedSequence([seed, 0xE0A])
     env_seeds = seq.spawn(n_envs)
-    path_seeds = seq.spawn(n_envs + 1)[n_envs:]  # distinct from env seeds
     runners = []
     for i, env_seed in enumerate(env_seeds):
         env_cfg = EnvConfig(
@@ -233,7 +241,15 @@ def save_checkpoint(path, algorithm: str, hp: HyperParams, training_step: int,
         "training_step": training_step,
         "networks": networks,
     }
-    Path(path).write_text(json.dumps(doc))
+    # write beside the target, then rename over it: a crash mid-write leaves
+    # the previous checkpoint intact, never a truncated one
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> dict:
@@ -452,12 +468,11 @@ def final_dwr(metrics_path, last_n: int = 5) -> float:
     )
 
 
-def sweep(config: ExperimentConfig, axis: str, values,
-          max_workers: int = 2) -> dict:
+def sweep(config: ExperimentConfig, axis: str, values) -> dict:
     """Train once per axis value; rank by final-5-batch mean DWR.
 
-    Runs are launched on a bounded worker pool; each writes to its own
-    subdirectory, so the schedule cannot affect the outputs.
+    Runs are launched on a pool of SWEEP_WORKERS threads; each writes to its
+    own subdirectory, so the schedule cannot affect the outputs.
     Returns {"axis", "results": [(value, run_dir, final_dwr)], "winner"}.
     """
     if axis not in ("gamma", "alpha"):
@@ -475,7 +490,7 @@ def sweep(config: ExperimentConfig, axis: str, values,
         )
         for value in values
     ]
-    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
+    with ThreadPoolExecutor(max_workers=SWEEP_WORKERS) as pool:
         run_dirs = list(pool.map(train, subs))
     results = [
         (value, str(run_dir), final_dwr(run_dir / "metrics.csv"))

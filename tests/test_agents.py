@@ -327,6 +327,28 @@ def test_trainers_step_accounting():
     assert ppo.env_steps == 16
 
 
+def test_a3c_round_equals_snapshot_submissions():
+    """The stock round collects with the server's live nets; by hand, every
+    worker pulls a snapshot first. Both must land the same submissions."""
+    hp = HyperParams(rollout_fragment=8, num_workers=2)
+
+    def trainer():
+        return A3CTrainer([mdp_runner((s, 7)) for s in range(2)], hp, 3,
+                          obs_dim=2, n_actions=2, hidden=(8,))
+
+    stock, by_hand = trainer(), trainer()
+    for _ in range(6):
+        stock.run(16)
+        submissions = [w.compute_submission(by_hand.server)
+                       for w in by_hand.workers]
+        for i in by_hand.order_rng.permutation(len(submissions)):
+            by_hand.server.submit(*submissions[i])
+    assert stock.server.version == by_hand.server.version == 12
+    for n1, n2 in ((stock.actor, by_hand.actor), (stock.critic, by_hand.critic)):
+        for a, b in zip(n1.weights + n1.biases, n2.weights + n2.biases):
+            assert np.array_equal(a, b)
+
+
 def test_episode_runner_auto_reset_and_callback():
     ends = []
     runner = EpisodeRunner(

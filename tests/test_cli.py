@@ -89,6 +89,23 @@ def test_train_bad_config_exit_code(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("doc", [
+    {"hyperparams": {"epochz": 1}},
+    {"hyperparams": {"epochs": "many"}},
+    {"profile": {"name": "x", "rho": 0.5}},
+    {"profile": "Av9"},
+])
+def test_train_rejects_bad_config_in_one_line(runner, tmp_path, doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["train", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not an uncaught error
+    assert result.output.startswith("error:")
+    assert len(result.output.splitlines()) == 1
+    assert "Traceback" not in result.output
+
+
 def test_eval_missing_checkpoint(runner, tmp_path):
     config = write_config(tmp_path)
     result = runner.invoke(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +153,26 @@ def test_checkpoint_roundtrip_and_policy(tmp_path):
         checkpoint_policy(doc, n_actions=5)
 
 
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    net = init_mlp([17, 8, 23], LINEAR, 0)
+    path = tmp_path / "checkpoint-seed0.json"
+    save_checkpoint(path, "dqn", HyperParams(), 1, {"qnet": net_to_dict(net)})
+
+    def crash_mid_write(self, text):
+        with self.open("w") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    # the second save dies halfway through writing its bytes
+    monkeypatch.setattr(Path, "write_text", crash_mid_write)
+    with pytest.raises(OSError):
+        save_checkpoint(path, "dqn", HyperParams(), 2,
+                        {"qnet": net_to_dict(net)})
+    monkeypatch.undo()
+    assert load_checkpoint(path)["training_step"] == 1
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 # -- training and evaluation ----------------------------------------------------------
 
 
@@ -211,7 +232,7 @@ def test_every_algorithm_trains_and_evaluates(tmp_path):
 
 def test_sweep_ranks_by_final_dwr(tmp_path):
     cfg = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
-    result = sweep(cfg, "gamma", [0.6, 0.9], max_workers=2)
+    result = sweep(cfg, "gamma", [0.6, 0.9])
     assert {v for v, _, _ in result["results"]} == {0.6, 0.9}
     assert result["winner"] in (0.6, 0.9)
     summary = (tmp_path / "sweep" / "sweep_summary.csv").read_text()
