@@ -23,8 +23,8 @@ class AdversaryProfile:
     def __post_init__(self):
         if not 0 < self.rho <= 1:
             raise ValueError(f"rho must lie in (0,1], got {self.rho}")
-        if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
+        if type(self.tau) is not int or self.tau < 1:
+            raise ValueError(f"tau must be an integer >= 1, got {self.tau!r}")
         if not 0 < self.obs_accuracy <= 1:
             raise ValueError(f"obs_accuracy must lie in (0,1], got {self.obs_accuracy}")
 

@@ -1,3 +1,3 @@
-from .common import HyperParams, ReplayBuffer, advantage, compute_returns, epsilon
+from .common import HyperParams, ReplayBuffer, advantage, epsilon
 
-__all__ = ["HyperParams", "ReplayBuffer", "advantage", "compute_returns", "epsilon"]
+__all__ = ["HyperParams", "ReplayBuffer", "advantage", "epsilon"]

@@ -16,7 +16,7 @@ from ..neural_net import (
     init_mlp,
     log_softmax,
 )
-from .common import (HyperParams, advantage, fragment_returns, mode_policy,
+from .common import (HyperParams, advantage, fragment_returns,
                      sample_policy_action)
 
 
@@ -27,23 +27,6 @@ def make_actor_critic(obs_dim: int, n_actions: int, seed, hidden=(256, 256)):
     actor = init_mlp([obs_dim, *hidden, n_actions], SOFTMAX, actor_seed)
     critic = init_mlp([obs_dim, *hidden, 1], LINEAR, critic_seed)
     return actor, critic
-
-
-def a2c_losses(actor: Mlp, critic: Mlp, obs, actions, returns, hp: HyperParams):
-    """Scalar (policy_loss, value_loss, entropy) for a prepared batch."""
-    obs = np.asarray(obs, dtype=float)
-    actions = np.asarray(actions)
-    returns = np.asarray(returns, dtype=float)
-    probs, a_cache = forward(actor, obs)
-    logits = a_cache[1]
-    logp = log_softmax(logits)
-    values, _ = forward(critic, obs)
-    adv = advantage(returns, values[:, 0])
-    ent = -np.sum(probs * logp, axis=1)
-    chosen_logp = logp[np.arange(len(actions)), actions]
-    policy_loss = float(-np.mean(chosen_logp * adv) - hp.entropy_coef * np.mean(ent))
-    value_loss = float(np.mean((returns - values[:, 0]) ** 2))
-    return policy_loss, value_loss, float(np.mean(ent))
 
 
 def a2c_gradients(actor: Mlp, critic: Mlp, obs, actions, returns, hp: HyperParams):
@@ -156,8 +139,5 @@ class A2CTrainer:
         a_grads, c_grads, _ = a2c_gradients(
             self.actor, self.critic, obs, actions, returns, self.hp
         )
-        apply_update(self.actor, self.actor_opt, a_grads, direction="descend")
-        apply_update(self.critic, self.critic_opt, c_grads, direction="descend")
-
-    def policy(self):
-        return mode_policy(self.actor)
+        apply_update(self.actor, self.actor_opt, a_grads)
+        apply_update(self.critic, self.critic_opt, c_grads)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
-
 from ..neural_net import Mlp, OptimizerState, apply_update
 from .common import HyperParams
 from .a2c import A2CTrainer, a2c_gradients, collect_fragment
@@ -29,13 +27,10 @@ class ParameterServer:
         self._critic_opt = OptimizerState(lr=hp.alpha)
         self._lock = threading.Lock()
         self.version = 0
-        self.closed = False
 
     def snapshot(self):
         """Consistent (version, actor, critic) copy of a single version."""
         with self._lock:
-            if self.closed:
-                raise RuntimeError("parameter server shut down")
             return self.version, self._actor.copy(), self._critic.copy()
 
     def submit(self, actor_grads, critic_grads) -> int:
@@ -45,18 +40,10 @@ class ParameterServer:
         staleness is the defining behavior of the asynchronous scheme.
         """
         with self._lock:
-            if self.closed:
-                raise RuntimeError("parameter server shut down")
-            apply_update(self._actor, self._actor_opt, actor_grads,
-                         direction="descend")
-            apply_update(self._critic, self._critic_opt, critic_grads,
-                         direction="descend")
+            apply_update(self._actor, self._actor_opt, actor_grads)
+            apply_update(self._critic, self._critic_opt, critic_grads)
             self.version += 1
             return self.version
-
-    def shutdown(self):
-        with self._lock:
-            self.closed = True
 
 
 class A3CWorker:

@@ -40,9 +40,11 @@ class HyperParams:
         if self.eps_final > self.eps_initial:
             raise ValueError("eps_final must not exceed eps_initial")
         for name in ("eps_decay_steps", "num_workers", "rollout_fragment",
-                     "batch_size", "epochs", "steps_per_epoch"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                     "batch_size", "ppo_epochs", "epochs", "steps_per_epoch",
+                     "replay_capacity", "target_sync"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     def with_overrides(self, **kw) -> "HyperParams":
         return replace(self, **kw)
@@ -133,18 +135,9 @@ def act_epsilon_greedy(qnet: Mlp, obs, eps: float, rng) -> int:
     return int(np.argmax(q))
 
 
-def compute_returns(rewards, gamma: float, bootstrap_value: float) -> np.ndarray:
-    """Discounted returns over an ordered fragment, seeded by the bootstrap."""
-    g = float(bootstrap_value)
-    out = np.empty(len(rewards))
-    for t in range(len(rewards) - 1, -1, -1):
-        g = rewards[t] + gamma * g
-        out[t] = g
-    return out
-
-
 def fragment_returns(rewards, dones, gamma: float, bootstrap_value: float) -> np.ndarray:
-    """compute_returns over a fragment that may span episode boundaries."""
+    """Discounted returns over an ordered fragment, seeded by the bootstrap;
+    a done step restarts the sum, so a fragment may span episodes."""
     g = float(bootstrap_value)
     out = np.empty(len(rewards))
     for t in range(len(rewards) - 1, -1, -1):
@@ -172,18 +165,11 @@ def sample_policy_action(actor: Mlp, obs, rng):
     return a, float(log_softmax(logits)[a])
 
 
-def greedy_policy(qnet: Mlp):
+def argmax_policy(net: Mlp):
+    """Deterministic rule: the net's highest output (greedy Q, or policy mode)."""
     def policy(obs, rng):
-        q, _ = forward(qnet, obs)
-        return int(np.argmax(q))
-
-    return policy
-
-
-def mode_policy(actor: Mlp):
-    def policy(obs, rng):
-        probs, _ = forward(actor, obs)
-        return int(np.argmax(probs))
+        out, _ = forward(net, obs)
+        return int(np.argmax(out))
 
     return policy
 

@@ -34,16 +34,6 @@ def dqn_targets(qnet: Mlp, target_net: Mlp, rewards, next_obs, dones,
     return np.asarray(rewards) + gamma * bootstrap * (~np.asarray(dones))
 
 
-def dqn_target(qnet: Mlp, target_net: Mlp, transition, gamma: float,
-               double: bool = False) -> float:
-    """Single-transition convenience wrapper around dqn_targets."""
-    _obs, _action, reward, next_obs, done = transition
-    return float(
-        dqn_targets(qnet, target_net, [reward], next_obs[None, :], [done],
-                    gamma, double)[0]
-    )
-
-
 class DqnAgent:
     """Owns the online/target nets, replay buffer, and update cadence."""
 
@@ -63,10 +53,6 @@ class DqnAgent:
     def act(self, obs) -> int:
         eps = epsilon(self.env_steps, self.hp)
         return act_epsilon_greedy(self.qnet, obs, eps, self.act_rng)
-
-    def greedy(self, obs) -> int:
-        q, _ = forward(self.qnet, obs)
-        return int(np.argmax(q))
 
     def observe(self, obs, action, reward, next_obs, done):
         """Record a transition; runs an update every rollout_fragment steps."""
@@ -103,7 +89,7 @@ def dqn_update(agent: DqnAgent, buffer: ReplayBuffer, hp: HyperParams) -> float:
     grad_out[np.arange(len(actions)), actions] = 2.0 * err / len(actions)
     grads = backward(agent.qnet, cache, grad_out)
     clip_gradients(grads, hp.grad_clip)
-    apply_update(agent.qnet, agent.opt, grads, direction="descend")
+    apply_update(agent.qnet, agent.opt, grads)
     agent.updates += 1
     if agent.updates % hp.target_sync == 0:
         agent.target_net = agent.qnet.copy()
@@ -124,8 +110,3 @@ class DqnTrainer:
             result = self.runner.step(action)
             self.agent.observe(obs, action, result.reward, result.observation,
                                result.done)
-
-    def policy(self):
-        from .common import greedy_policy
-
-        return greedy_policy(self.agent.qnet)

@@ -16,23 +16,6 @@ from .common import HyperParams, advantage
 from .a2c import A2CTrainer
 
 
-def ppo_loss(actor: Mlp, obs, actions, advantages, old_logp,
-             hp: HyperParams) -> float:
-    """Scalar clipped-surrogate policy loss (entropy bonus included)."""
-    obs = np.asarray(obs, dtype=float)
-    actions = np.asarray(actions)
-    advantages = np.asarray(advantages, dtype=float)
-    old_logp = np.asarray(old_logp, dtype=float)
-    probs, cache = forward(actor, obs)
-    logp = log_softmax(cache[1])
-    new_logp = logp[np.arange(len(actions)), actions]
-    ratio = np.exp(new_logp - old_logp)
-    clipped = np.clip(ratio, 1 - hp.ppo_clip, 1 + hp.ppo_clip)
-    surrogate = np.minimum(ratio * advantages, clipped * advantages)
-    ent = -np.sum(probs * logp, axis=1)
-    return float(-np.mean(surrogate) - hp.entropy_coef * np.mean(ent))
-
-
 def ppo_gradients(actor: Mlp, obs, actions, advantages, old_logp,
                   hp: HyperParams):
     obs = np.asarray(obs, dtype=float)
@@ -79,10 +62,9 @@ class PPOTrainer(A2CTrainer):
         for _epoch in range(self.hp.ppo_epochs):
             grads = ppo_gradients(self.actor, obs, actions, adv, old_logp,
                                   self.hp)
-            apply_update(self.actor, self.actor_opt, grads, direction="descend")
+            apply_update(self.actor, self.actor_opt, grads)
             values, c_cache = forward(self.critic, obs)
             grad_v = (2.0 * (values[:, 0] - returns) / len(returns))[:, None]
             c_grads = backward(self.critic, c_cache, grad_v)
             clip_gradients(c_grads, self.hp.grad_clip)
-            apply_update(self.critic, self.critic_opt, c_grads,
-                         direction="descend")
+            apply_update(self.critic, self.critic_opt, c_grads)

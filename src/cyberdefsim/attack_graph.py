@@ -168,13 +168,6 @@ class AttackGraph:
     def state_at_index(self, index: int) -> AttackState:
         return self._by_index[index]
 
-    def successors(self, state: AttackState) -> list[Technique]:
-        """Techniques the adversary may attempt next from `state`."""
-        if state.kind == TERMINATED:
-            raise GraphError("terminated state has no successors")
-        key = INITIATED if state.kind == INITIATED else state.technique_id
-        return [self.techniques[t] for t in self._adj.get(key, ())]
-
     def tactic_depth(self, state: AttackState) -> int:
         """Stage depth 0..goal for live states; sentinel for Terminated."""
         if state.kind == TERMINATED:

@@ -100,37 +100,15 @@ class DefenseCatalog:
     def __len__(self) -> int:
         return len(self.actions)
 
-    def to_document(self) -> dict:
-        return {
-            "reactive_block_prob": self.reactive_block_prob,
-            "cost": {
-                "impl_cost": self.cost_params.impl_cost,
-                "unit_interruption_cost": self.cost_params.unit_interruption_cost,
-                "powerlaw_exponent": self.cost_params.powerlaw_exponent,
-                "powerlaw_max": self.cost_params.powerlaw_max,
-                "depth_attenuation": self.cost_params.depth_attenuation,
-            },
-            "actions": [
-                {
-                    "id": a.id,
-                    "kind": a.kind,
-                    "name": a.name,
-                    "covers": sorted(a.covered_techniques),
-                    "block_prob": a.block_prob,
-                    "fp_scale": a.fp_scale,
-                }
-                for a in self.actions
-            ],
-        }
-
 
 def load_catalog(source, graph: AttackGraph, relaxed_counts: bool = False) -> DefenseCatalog:
-    """Build a validated DefenseCatalog from a dict or a JSON file path."""
-    if isinstance(source, (str, Path)):
-        doc = json.loads(Path(source).read_text())
-    else:
-        doc = source
+    """Build a validated DefenseCatalog from a dict or a JSON file path.
+
+    Every error raised for a file names the file.
+    """
+    where = f"{source}: " if isinstance(source, (str, Path)) else ""
     try:
+        doc = json.loads(Path(source).read_text()) if where else source
         cost = CostParams(**doc.get("cost", {}))
         actions = [
             DefenseAction(
@@ -144,12 +122,15 @@ def load_catalog(source, graph: AttackGraph, relaxed_counts: bool = False) -> De
             for a in doc["actions"]
         ]
         reactive_p = float(doc["reactive_block_prob"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CatalogError(f"malformed catalog document: {exc}") from exc
-    for a in actions:
-        if a.kind not in (INACTIVE, REACTIVE, PROACTIVE):
-            raise CatalogError(f"action {a.id}: unknown kind {a.kind!r}")
-    return DefenseCatalog(actions, reactive_p, cost, graph, relaxed_counts=relaxed_counts)
+        for a in actions:
+            if a.kind not in (INACTIVE, REACTIVE, PROACTIVE):
+                raise CatalogError(f"action {a.id}: unknown kind {a.kind!r}")
+        return DefenseCatalog(actions, reactive_p, cost, graph,
+                              relaxed_counts=relaxed_counts)
+    except CatalogError as exc:
+        raise CatalogError(f"{where}{exc}") from exc
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CatalogError(f"{where}malformed catalog document: {exc}") from exc
 
 
 def block_probability(catalog: DefenseCatalog, action: DefenseAction,

@@ -18,8 +18,7 @@ from .agents.a3c import A3CTrainer
 from .agents.common import (
     EpisodeRunner,
     HyperParams,
-    greedy_policy,
-    mode_policy,
+    argmax_policy,
     random_policy,
 )
 from .agents.dqn import DqnAgent, DqnTrainer
@@ -77,13 +76,26 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
+        if not (isinstance(self.seeds, list) and self.seeds
+                and all(type(s) is int and s >= 0 for s in self.seeds)):
+            raise ConfigError("seeds must be a non-empty list of integers >= 0")
+        for name in ("eval_episodes", "batch_episodes"):
+            if type(getattr(self, name)) is not int or getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be an integer >= 1")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError("output_dir must be a path")
         for path in (self.graph, self.catalog):
-            if path is not None and not Path(path).exists():
+            if path is not None and not (isinstance(path, str)
+                                         and Path(path).exists()):
                 raise ConfigError(f"referenced file does not exist: {path}")
-        for name, resolve in (("profile", self.resolved_profile),
-                              ("hyperparams", self.resolved_hp)):
+        # graph-free stand-ins run only the settings' own checks in
+        # EnvConfig, RewardModel and split_paths
+        for name, resolve in (
+                ("profile", self.resolved_profile),
+                ("hyperparams", self.resolved_hp),
+                ("environment", lambda: self.env_config(None, None, 0)),
+                ("split", lambda: split_paths([None], self.train_fraction,
+                                              self.split_seed))):
             try:
                 resolve()
             except (TypeError, ValueError, KeyError) as exc:
@@ -96,6 +108,8 @@ class ExperimentConfig:
             doc = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -110,19 +124,17 @@ class ExperimentConfig:
     def resolved_hp(self) -> HyperParams:
         return HyperParams().with_overrides(**self.hyperparams)
 
+    def env_config(self, graph, catalog, seed) -> EnvConfig:
+        model = RewardModel(impact=self.impact, literal_iv=self.literal_iv)
+        return EnvConfig(graph=graph, catalog=catalog,
+                         profile=self.resolved_profile(), reward_model=model,
+                         horizon=self.horizon, seed=seed, risk_mode=self.risk_mode)
+
     def load_graph(self) -> AttackGraph:
         return load_graph(self.graph or default_graph_path())
 
     def load_catalog(self, graph: AttackGraph) -> DefenseCatalog:
         return load_catalog(self.catalog or default_catalog_path(), graph)
-
-
-def dwr(wins: int, episodes: int) -> float:
-    if episodes <= 0:
-        raise ValueError("episodes must be positive")
-    if not 0 <= wins <= episodes:
-        raise ValueError("wins must lie in [0, episodes]")
-    return wins / episodes
 
 
 def mean_reward_percent(mean_return: float, best_return: float) -> float:
@@ -138,11 +150,10 @@ def mean_reward_percent(mean_return: float, best_return: float) -> float:
 class BatchRecorder:
     """Aggregates completed episodes into fixed-size batch metric rows."""
 
-    def __init__(self, seed: int, batch_episodes: int, writer=None):
+    def __init__(self, seed: int, batch_episodes: int, writer):
         self.seed = seed
         self.batch_episodes = batch_episodes
         self.writer = writer
-        self.rows: list[dict] = []
         self._wins = 0
         self._returns: list[float] = []
         self._lengths: list[int] = []
@@ -163,9 +174,7 @@ class BatchRecorder:
                 "mean_return": float(np.mean(self._returns)),
                 "mean_len": float(np.mean(self._lengths)),
             }
-            self.rows.append(row)
-            if self.writer is not None:
-                self.writer(row)
+            self.writer(row)
             self._batch += 1
             self._wins = 0
             self._returns = []
@@ -184,24 +193,14 @@ def _format_row(row: dict) -> list[str]:
     ]
 
 
-def _build_runners(config: ExperimentConfig, graph, catalog, profile, hp,
-                   train_paths, seed, on_episode_end):
+def _build_runners(config: ExperimentConfig, graph, catalog, hp, train_paths,
+                   seed, on_episode_end):
     n_envs = 1 if config.algorithm == "dqn" else hp.num_workers
     seq = np.random.SeedSequence([seed, 0xE0A])
     env_seeds = seq.spawn(n_envs)
     runners = []
     for i, env_seed in enumerate(env_seeds):
-        env_cfg = EnvConfig(
-            graph=graph,
-            catalog=catalog,
-            profile=profile,
-            reward_model=RewardModel(impact=config.impact,
-                                     literal_iv=config.literal_iv),
-            horizon=config.horizon,
-            seed=env_seed,
-            risk_mode=config.risk_mode,
-        )
-        env = CyberDefenseEnv(env_cfg)
+        env = CyberDefenseEnv(config.env_config(graph, catalog, env_seed))
         path_rng = np.random.default_rng([i, seed, 0xA17])
         runners.append(
             EpisodeRunner(env, train_paths, path_rng, on_episode_end=on_episode_end)
@@ -253,23 +252,31 @@ def save_checkpoint(path, algorithm: str, hp: HyperParams, training_step: int,
 
 
 def load_checkpoint(path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    doc["networks"] = {k: net_from_dict(v) for k, v in doc["networks"].items()}
+    """Read a checkpoint; anything malformed raises ConfigError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        doc["networks"] = {k: net_from_dict(v) for k, v in doc["networks"].items()}
+        _policy_net(doc)
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"bad checkpoint {path}: {detail}") from exc
     return doc
+
+
+def _policy_net(checkpoint: dict):
+    return checkpoint["networks"][
+        "qnet" if checkpoint["algorithm"] == "dqn" else "actor"]
 
 
 def checkpoint_policy(checkpoint: dict, n_actions: int):
     """Greedy (value) or mode (policy) action rule from a loaded checkpoint."""
-    nets = checkpoint["networks"]
-    net = nets["qnet"] if checkpoint["algorithm"] == "dqn" else nets["actor"]
+    net = _policy_net(checkpoint)
     if net.dims[-1] != n_actions:
         raise ConfigError(
             f"checkpoint action space {net.dims[-1]} does not match "
             f"environment ({n_actions})"
         )
-    if checkpoint["algorithm"] == "dqn":
-        return greedy_policy(net)
-    return mode_policy(net)
+    return argmax_policy(net)
 
 
 def split_for_config(config: ExperimentConfig, graph: AttackGraph):
@@ -285,7 +292,6 @@ def train(config: ExperimentConfig, run_dir=None) -> Path:
     """
     graph = config.load_graph()
     catalog = config.load_catalog(graph)
-    profile = config.resolved_profile()
     hp = config.resolved_hp()
     train_paths, _ = split_for_config(config, graph)
     if not train_paths:
@@ -305,7 +311,7 @@ def train(config: ExperimentConfig, run_dir=None) -> Path:
                 writer=lambda row: writer.writerow(_format_row(row)),
             )
             runners = _build_runners(
-                config, graph, catalog, profile, hp, train_paths, seed, recorder
+                config, graph, catalog, hp, train_paths, seed, recorder
             )
             trainer = make_trainer(config.algorithm, runners, hp, seed)
             ckpt_path = run_dir / f"checkpoint-seed{seed}.json"
@@ -321,18 +327,17 @@ def train(config: ExperimentConfig, run_dir=None) -> Path:
 
 
 def run_policy_episodes(policy, env: CyberDefenseEnv, paths, episodes: int, rng):
-    """Roll `episodes` greedy episodes; returns (wins, returns, stop_depths, lens)."""
+    """Roll `episodes` greedy episodes; returns (wins, returns, stop_depths)."""
     wins = 0
-    returns, stop_depths, lengths = [], [], []
+    returns, stop_depths = [], []
     for _ in range(episodes):
         path = paths[int(rng.integers(len(paths)))]
         obs = env.reset(path)
-        total, steps = 0.0, 0
+        total = 0.0
         while True:
             action = policy(obs, rng)
             result = env.step(action)
             total += result.reward
-            steps += 1
             obs = result.observation
             if result.done:
                 win = result.info["outcome"] in (DEFENDER_WIN, TRUNCATED)
@@ -342,8 +347,7 @@ def run_policy_episodes(policy, env: CyberDefenseEnv, paths, episodes: int, rng)
                 )
                 break
         returns.append(total)
-        lengths.append(steps)
-    return wins, returns, stop_depths, lengths
+    return wins, returns, stop_depths
 
 
 @dataclass
@@ -387,21 +391,14 @@ def evaluate_policy(policy, config: ExperimentConfig, test_paths=None,
                     episodes=None, seed: int = 0) -> EvalReport:
     graph = config.load_graph()
     catalog = config.load_catalog(graph)
-    profile = config.resolved_profile()
     if test_paths is None:
         _, test_paths = split_for_config(config, graph)
     episodes = episodes or config.eval_episodes
-    env_cfg = EnvConfig(
-        graph=graph, catalog=catalog, profile=profile,
-        reward_model=RewardModel(impact=config.impact,
-                                 literal_iv=config.literal_iv),
-        horizon=config.horizon,
-        seed=np.random.SeedSequence([seed, 0xE7A]),
-        risk_mode=config.risk_mode,
-    )
+    env_cfg = config.env_config(graph, catalog,
+                                np.random.SeedSequence([seed, 0xE7A]))
     env = CyberDefenseEnv(env_cfg)
     rng = np.random.default_rng([seed, 0x5EED])
-    wins, returns, stop_depths, lengths = run_policy_episodes(
+    wins, returns, stop_depths = run_policy_episodes(
         policy, env, test_paths, episodes, rng
     )
     hist_counts: dict[int, int] = {}
@@ -411,7 +408,7 @@ def evaluate_policy(policy, config: ExperimentConfig, test_paths=None,
     cum_t3 = sum(f for d, f in histogram.items() if d <= 3)
     cum_t6 = sum(f for d, f in histogram.items() if d <= 6)
     mean_return = float(np.mean(returns))
-    model = RewardModel(impact=config.impact, literal_iv=config.literal_iv)
+    profile, model = env_cfg.profile, env_cfg.reward_model
     if config.risk_mode == RISK_RESIDUAL:
         best_block = best_block_table(catalog, graph)
         best = float(np.mean([

@@ -1,10 +1,8 @@
-"""Minimal MLP substrate: tanh hidden layers, analytic backprop, SGD/Adam."""
+"""Minimal MLP substrate: tanh hidden layers, analytic backprop, Adam."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +10,11 @@ LINEAR = "linear"
 SOFTMAX = "softmax"
 
 CHECKPOINT_VERSION = "1"
+
+# Adam moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -42,12 +45,16 @@ class GradientSet:
     d_biases: list[np.ndarray]
 
 
-def init_mlp(dims, head: str, seed) -> Mlp:
-    """Uniform init scaled by 1/sqrt(fan_in); biases zero; seed-deterministic."""
+def _check_layout(dims, head: str) -> None:
     if head not in (LINEAR, SOFTMAX):
         raise ValueError(f"unknown head {head!r}")
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError(f"bad layer dims {dims}")
+
+
+def init_mlp(dims, head: str, seed) -> Mlp:
+    """Uniform init scaled by 1/sqrt(fan_in); biases zero; seed-deterministic."""
+    _check_layout(dims, head)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims, dims[1:]):
@@ -119,11 +126,9 @@ def backward(net: Mlp, cache, grad_out: np.ndarray,
 
 @dataclass
 class OptimizerState:
-    kind: str = "adam"  # "sgd" | "adam"
+    """Adam state; moments are allocated on the first step."""
+
     lr: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -131,8 +136,6 @@ class OptimizerState:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
-        if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.kind!r}")
 
 
 def _flat_params(net: Mlp):
@@ -143,12 +146,8 @@ def _flat_grads(grads: GradientSet):
     return grads.d_weights + grads.d_biases
 
 
-def apply_update(net: Mlp, opt: OptimizerState, grads: GradientSet,
-                 direction: str = "descend") -> None:
-    """One optimizer step in place; `ascend` adds the gradient, `descend` subtracts."""
-    if direction not in ("ascend", "descend"):
-        raise ValueError(f"unknown direction {direction!r}")
-    sign = 1.0 if direction == "ascend" else -1.0
+def apply_update(net: Mlp, opt: OptimizerState, grads: GradientSet) -> None:
+    """One Adam descent step in place."""
     params = _flat_params(net)
     gs = _flat_grads(grads)
     for p, g in zip(params, gs):
@@ -156,23 +155,18 @@ def apply_update(net: Mlp, opt: OptimizerState, grads: GradientSet,
             raise ValueError("gradient/parameter shape mismatch")
         if not np.all(np.isfinite(g)):
             raise DivergenceError("non-finite gradient")
-    if opt.kind == "sgd":
-        for p, g in zip(params, gs):
-            p += sign * opt.lr * g
-        opt.step += 1
-        return
     if not opt.m:
         opt.m = [np.zeros_like(p) for p in params]
         opt.v = [np.zeros_like(p) for p in params]
     opt.step += 1
-    b1c = 1.0 - opt.beta1 ** opt.step
-    b2c = 1.0 - opt.beta2 ** opt.step
+    b1c = 1.0 - BETA1 ** opt.step
+    b2c = 1.0 - BETA2 ** opt.step
     for p, g, m, v in zip(params, gs, opt.m, opt.v):
-        m *= opt.beta1
-        m += (1 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1 - opt.beta2) * g * g
-        p += sign * opt.lr * (m / b1c) / (np.sqrt(v / b2c) + opt.eps)
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * g * g
+        p -= opt.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
 
 
 def clip_gradients(grads: GradientSet, max_norm: float) -> float:
@@ -206,12 +200,9 @@ def net_from_dict(doc: dict) -> Mlp:
         for w, fan_in, fan_out in zip(doc["weights"], dims, dims[1:])
     ]
     biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
+    _check_layout(dims, doc["head"])
+    if (len(doc["weights"]) != len(dims) - 1
+            or [b.shape for b in biases] != [(d,) for d in dims[1:]]):
+        raise ValueError(f"weights and biases do not match layer dims {dims}")
     return Mlp(dims, doc["head"], weights, biases)
 
-
-def save_net(net: Mlp, path) -> None:
-    Path(path).write_text(json.dumps(net_to_dict(net)))
-
-
-def load_net(path) -> Mlp:
-    return net_from_dict(json.loads(Path(path).read_text()))

@@ -156,6 +156,22 @@ def finite_diff_at(loss_fn, param: np.ndarray, flat_index: int,
     return (up - down) / (2 * h)
 
 
+# -- PPO clipped surrogate ------------------------------------------------------
+
+
+def ppo_loss(probs, actions, advantages, old_logp, clip: float,
+             entropy_coef: float) -> float:
+    """Negated clipped surrogate minus the entropy bonus (Schulman et al.
+    2017, eq. 7), from the new policy's action probabilities per sample."""
+    probs = np.asarray(probs, dtype=float)
+    advantages = np.asarray(advantages, dtype=float)
+    ratio = probs[np.arange(len(probs)), actions] / np.exp(old_logp)
+    surrogate = np.minimum(ratio * advantages,
+                           np.clip(ratio, 1 - clip, 1 + clip) * advantages)
+    entropy = -np.sum(probs * np.log(probs), axis=1)
+    return float(-np.mean(surrogate) - entropy_coef * np.mean(entropy))
+
+
 # -- two-state reference MDP and value iteration -------------------------------
 
 

@@ -41,7 +41,7 @@ def test_profile_by_name():
 @pytest.mark.parametrize(
     "kw",
     [
-        {"rho": 0.0}, {"rho": 1.5}, {"tau": 0}, {"obs_accuracy": 0.0},
+        {"rho": 0.0}, {"rho": 1.5}, {"tau": 0}, {"tau": 2.5}, {"obs_accuracy": 0.0},
         {"obs_accuracy": 1.2},
     ],
 )

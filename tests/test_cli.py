@@ -1,11 +1,21 @@
 """Unit tests for the simctl command line interface and its exit codes."""
 
+import copy
 import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cyberdefsim.agents.common import HyperParams
 from cyberdefsim.cli import main
+from cyberdefsim.harness import (
+    default_catalog_path,
+    default_graph_path,
+    save_checkpoint,
+)
+from cyberdefsim.neural_net import LINEAR, init_mlp, net_to_dict
 
 
 @pytest.fixture()
@@ -89,21 +99,131 @@ def test_train_bad_config_exit_code(runner, tmp_path):
     assert result.exit_code == 1
 
 
+def assert_one_error_line(result):
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not an uncaught error
+    assert result.output.startswith("error:")
+    assert len(result.output.splitlines()) == 1
+
+
 @pytest.mark.parametrize("doc", [
     {"hyperparams": {"epochz": 1}},
     {"hyperparams": {"epochs": "many"}},
     {"profile": {"name": "x", "rho": 0.5}},
     {"profile": "Av9"},
+    {"hyperparams": {"epochs": 2.5}},
+    {"hyperparams": {"target_sync": 0}},
+    {"hyperparams": {"replay_capacity": 0}},
+    {"impact": "x"},
+    {"horizon": "x"},
+    {"train_fraction": "x"},
 ])
 def test_train_rejects_bad_config_in_one_line(runner, tmp_path, doc):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     result = runner.invoke(main, ["train", "--config", str(config)])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # not an uncaught error
-    assert result.output.startswith("error:")
-    assert len(result.output.splitlines()) == 1
+    assert_one_error_line(result)
     assert "Traceback" not in result.output
+
+
+def write_checkpoint(path):
+    """A DQN checkpoint with a 17-4-23 net: evaluable without training."""
+    save_checkpoint(path, "dqn", HyperParams(), 0,
+                    {"qnet": net_to_dict(init_mlp([17, 4, 23], LINEAR, 0))})
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: [],
+    lambda doc: {**doc, "networks": []},
+    lambda doc: {k: v for k, v in doc.items() if k != "networks"},
+    lambda doc: {**doc, "networks": {"qnet": {
+        k: v for k, v in doc["networks"]["qnet"].items() if k != "layer_dims"}}},
+])
+def test_eval_bad_checkpoint_names_the_file(runner, tmp_path, mutate):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(mutate(write_checkpoint(ckpt))))
+    result = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--config",
+                                  str(write_config(tmp_path)), "--episodes", "3"])
+    assert_one_error_line(result)
+    assert str(ckpt) in result.output
+
+
+def test_validate_bad_catalog_names_the_file(runner, tmp_path):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text("[]")
+    result = runner.invoke(main, ["validate", "--catalog", str(catalog)])
+    assert_one_error_line(result)
+    assert str(catalog) in result.output
+
+
+def json_paths(doc, path=()):
+    """The path to every value in doc; of a list, only its first and last items
+    (the rest have the same shape), so long weight lists do not crowd out the
+    other keys."""
+    yield path
+    if isinstance(doc, dict):
+        keys = list(doc)
+    else:
+        keys = sorted({0, len(doc) - 1}) if isinstance(doc, list) and doc else []
+    for key in keys:
+        yield from json_paths(doc[key], path + (key,))
+
+
+DELETE = object()
+
+
+def mutated(data, doc):
+    """doc with the value at one path replaced, or deleted from its parent."""
+    path = data.draw(st.sampled_from(list(json_paths(doc))))
+    value = data.draw(st.sampled_from(
+        [None, True, -1, 0, 2.5, "x", [], {}] + ([DELETE] if path else [])))
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(kind=st.sampled_from(["graph", "catalog", "config", "checkpoint"]),
+       data=st.data())
+def test_mutated_inputs_fail_in_one_line(tmp_path_factory, kind, data):
+    root = tmp_path_factory.getbasetemp() / "mutated-inputs"
+    root.mkdir(exist_ok=True)
+    docs = {
+        "graph": json.loads(default_graph_path().read_text()),
+        "catalog": json.loads(default_catalog_path().read_text()),
+        "config": {
+            "algorithm": "dqn", "graph": None, "catalog": None,
+            "profile": {"name": "P", "rho": 0.9, "tau": 5, "obs_accuracy": 0.7},
+            "hyperparams": {"epochs": 1, "steps_per_epoch": 500},
+            "seeds": [0], "train_fraction": 0.8, "split_seed": 0,
+            "output_dir": str(root / "run"), "horizon": 64, "impact": 10.0,
+            "literal_iv": False, "risk_mode": "residual",
+            "eval_episodes": 30, "batch_episodes": 20,
+        },
+        "checkpoint": write_checkpoint(root / "checkpoint.json"),
+    }
+    docs[kind] = mutated(data, docs[kind])
+    for name, doc in docs.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    files = {name: str(root / f"{name}.json") for name in docs}
+    if kind in ("graph", "catalog"):
+        args = ["validate", f"--{kind}", files[kind]]
+    else:
+        args = ["eval", "--checkpoint", files["checkpoint"],
+                "--config", files["config"], "--episodes", "3"]
+    result = CliRunner().invoke(main, args)
+    assert "Traceback" not in result.output
+    if result.exit_code != 0:
+        assert_one_error_line(result)
 
 
 def test_eval_missing_checkpoint(runner, tmp_path):

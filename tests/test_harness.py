@@ -17,7 +17,6 @@ from cyberdefsim.harness import (
     checkpoint_policy,
     default_catalog_path,
     default_graph_path,
-    dwr,
     evaluate,
     final_dwr,
     load_checkpoint,
@@ -93,12 +92,7 @@ def test_default_data_files_exist():
 # -- metrics ---------------------------------------------------------------------
 
 
-def test_dwr_and_reward_percent():
-    assert dwr(7, 10) == 0.7
-    with pytest.raises(ValueError):
-        dwr(11, 10)
-    with pytest.raises(ValueError):
-        dwr(1, 0)
+def test_mean_reward_percent():
     assert mean_reward_percent(5.0, 10.0) == 50.0
     assert mean_reward_percent(-3.0, 10.0) == 0.0  # clamped at zero
     with pytest.raises(ValueError):
@@ -109,11 +103,11 @@ def test_batch_recorder():
     written = []
     rec = BatchRecorder(seed=3, batch_episodes=2, writer=written.append)
     rec(True, 1.0, 5, {})
-    assert not rec.rows
+    assert not written
     rec(False, 3.0, 7, {})
     rec(True, -1.0, 4, {})
-    assert len(rec.rows) == 1 and len(written) == 1
-    row = rec.rows[0]
+    assert len(written) == 1
+    row = written[0]
     assert row["seed"] == 3 and row["batch"] == 0
     assert row["wins"] == 1 and row["dwr"] == 0.5
     assert row["mean_return"] == 2.0 and row["mean_len"] == 6.0

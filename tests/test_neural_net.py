@@ -1,4 +1,4 @@
-"""Unit tests for the MLP substrate: forward, backward, optimizers, storage."""
+"""Unit tests for the MLP substrate: forward, backward, Adam, storage."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from cyberdefsim.neural_net import (
     DivergenceError,
     GradientSet,
     LINEAR,
-    Mlp,
     OptimizerState,
     SOFTMAX,
     apply_update,
@@ -15,13 +14,13 @@ from cyberdefsim.neural_net import (
     clip_gradients,
     forward,
     init_mlp,
-    load_net,
     log_softmax,
     net_from_dict,
     net_to_dict,
-    save_net,
     softmax,
 )
+from cyberdefsim.agents.common import HyperParams
+from cyberdefsim.harness import load_checkpoint, save_checkpoint
 
 
 def test_init_is_seed_deterministic_and_shaped():
@@ -70,20 +69,6 @@ def test_backward_shapes_match_parameters():
     assert [g.shape for g in grads.d_biases] == [b.shape for b in net.biases]
 
 
-def test_sgd_update_direction():
-    net = init_mlp([2, 2], LINEAR, 0)
-    grads = GradientSet(
-        [np.ones_like(net.weights[0])], [np.ones_like(net.biases[0])]
-    )
-    before = net.weights[0].copy()
-    opt = OptimizerState(kind="sgd", lr=0.1)
-    apply_update(net, opt, grads, direction="descend")
-    assert np.allclose(net.weights[0], before - 0.1)
-    apply_update(net, opt, grads, direction="ascend")
-    assert np.allclose(net.weights[0], before)
-    assert opt.step == 2
-
-
 def test_adam_update_moves_parameters():
     net = init_mlp([3, 4, 2], LINEAR, 0)
     before = [w.copy() for w in net.weights]
@@ -92,7 +77,7 @@ def test_adam_update_moves_parameters():
         [np.full_like(b, 0.5) for b in net.biases],
     )
     opt = OptimizerState(lr=0.01)
-    apply_update(net, opt, grads, direction="descend")
+    apply_update(net, opt, grads)
     assert all(
         not np.allclose(w, b) for w, b in zip(net.weights, before)
     )
@@ -124,15 +109,20 @@ def test_serialization_roundtrip(tmp_path):
     x = np.random.default_rng(0).normal(size=4)
     assert np.array_equal(forward(net, x)[0], forward(clone, x)[0])
 
-    path = tmp_path / "net.json"
-    save_net(net, path)
-    loaded = load_net(path)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, "a2c", HyperParams(), 0,
+                    {"actor": net_to_dict(net), "critic": net_to_dict(net)})
+    loaded = load_checkpoint(path)["networks"]["actor"]
     assert np.array_equal(forward(net, x)[0], forward(loaded, x)[0])
 
-    doc = net_to_dict(net)
-    doc["version"] = "999"
-    with pytest.raises(ValueError):
-        net_from_dict(doc)
+    for mutate in (lambda d: d.update(version="999"),
+                   lambda d: d["biases"].pop(),
+                   lambda d: d.update(layer_dims=[4]),
+                   lambda d: d.update(head="relu")):
+        doc = net_to_dict(net)
+        mutate(doc)
+        with pytest.raises(ValueError):
+            net_from_dict(doc)
 
 
 def test_copy_is_deep():
@@ -145,8 +135,6 @@ def test_copy_is_deep():
 def test_optimizer_validation():
     with pytest.raises(ValueError):
         OptimizerState(lr=0.0)
-    with pytest.raises(ValueError):
-        OptimizerState(kind="rmsprop")
     net = init_mlp([2, 2], LINEAR, 0)
     grads = GradientSet([np.zeros((2, 3))], [np.zeros(2)])
     with pytest.raises(ValueError):
