@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..environment import DEFENDER_WIN, TRUNCATED
-from ..neural_net import Mlp, forward, log_softmax
+from ..neural_net import Mlp, forward_row, log_softmax
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,10 @@ class HyperParams:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("entropy_coef", "ppo_clip", "grad_clip"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
 
     def with_overrides(self, **kw) -> "HyperParams":
         return replace(self, **kw)
@@ -131,7 +136,7 @@ def act_epsilon_greedy(qnet: Mlp, obs, eps: float, rng) -> int:
     n_actions = qnet.dims[-1]
     if rng.random() < eps:
         return int(rng.integers(n_actions))
-    q, _ = forward(qnet, obs)
+    q, _ = forward_row(qnet, obs)
     return int(np.argmax(q))
 
 
@@ -159,16 +164,15 @@ def advantage(returns, values) -> np.ndarray:
 
 def sample_policy_action(actor: Mlp, obs, rng):
     """Draw an action from the softmax policy; returns (action, log-prob)."""
-    probs, cache = forward(actor, obs)
+    probs, logits = forward_row(actor, obs)
     a = int(rng.choice(len(probs), p=probs / probs.sum()))
-    logits = cache[1][0]
     return a, float(log_softmax(logits)[a])
 
 
 def argmax_policy(net: Mlp):
     """Deterministic rule: the net's highest output (greedy Q, or policy mode)."""
     def policy(obs, rng):
-        out, _ = forward(net, obs)
+        out, _ = forward_row(net, obs)
         return int(np.argmax(out))
 
     return policy

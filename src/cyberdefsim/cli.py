@@ -112,6 +112,8 @@ def train(config_path, seed):
 def eval_cmd(checkpoint_path, config_path, episodes, out_path):
     """Evaluate a checkpoint on the held-out attack paths."""
     config = _load_config(config_path)
+    if episodes is not None and episodes < 1:
+        _fail(f"--episodes must be at least 1, got {episodes}")
     if not Path(checkpoint_path).exists():
         _fail(f"checkpoint does not exist: {checkpoint_path}")
     try:

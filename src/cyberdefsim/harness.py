@@ -393,7 +393,8 @@ def evaluate_policy(policy, config: ExperimentConfig, test_paths=None,
     catalog = config.load_catalog(graph)
     if test_paths is None:
         _, test_paths = split_for_config(config, graph)
-    episodes = episodes or config.eval_episodes
+    if episodes is None:
+        episodes = config.eval_episodes
     env_cfg = config.env_config(graph, catalog,
                                 np.random.SeedSequence([seed, 0xE7A]))
     env = CyberDefenseEnv(env_cfg)

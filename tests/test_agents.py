@@ -17,12 +17,24 @@ from cyberdefsim.agents.common import (
     ReplayBuffer,
     act_epsilon_greedy,
     advantage,
+    argmax_policy,
     epsilon,
     fragment_returns,
+    sample_policy_action,
 )
 from cyberdefsim.agents.dqn import DqnAgent, dqn_targets
 from cyberdefsim.agents.ppo import PPOTrainer, ppo_gradients
-from cyberdefsim.neural_net import LINEAR, apply_update, forward, init_mlp
+from cyberdefsim.neural_net import (
+    LINEAR,
+    SOFTMAX,
+    GradientSet,
+    OptimizerState,
+    apply_update,
+    forward,
+    forward_row,
+    init_mlp,
+    log_softmax,
+)
 
 
 def mdp_runner(seed, horizon=16):
@@ -42,6 +54,10 @@ def test_hyperparams_validation():
         HyperParams(eps_final=0.5, eps_initial=0.1)
     with pytest.raises(ValueError):
         HyperParams(rollout_fragment=0)
+    for name in ("entropy_coef", "ppo_clip", "grad_clip"):
+        for bad in ("x", True, None):
+            with pytest.raises(ValueError, match=name):
+                HyperParams(**{name: bad})
     assert HyperParams().with_overrides(gamma=0.9).gamma == 0.9
 
 
@@ -68,6 +84,88 @@ def test_act_epsilon_greedy_scale_invariance():
         assert act_epsilon_greedy(net, obs, 0.0, rng) == act_epsilon_greedy(
             scaled, obs, 0.0, rng
         )
+
+
+# -- policy memo ----------------------------------------------------------------
+
+
+def uncached_argmax(net, obs, rng):
+    return int(np.argmax(forward(net, obs)[0]))
+
+
+def uncached_epsilon_greedy(net, obs, eps, rng):
+    if rng.random() < eps:
+        return int(rng.integers(net.dims[-1]))
+    return uncached_argmax(net, obs, rng)
+
+
+def uncached_sample(actor, obs, rng):
+    probs, cache = forward(actor, obs)
+    a = int(rng.choice(len(probs), p=probs / probs.sum()))
+    return a, float(log_softmax(cache[1][0])[a])
+
+
+def test_forward_row_hit_equals_uncached_forward():
+    for head in (LINEAR, SOFTMAX):
+        net = init_mlp([17, 16, 23], head, 4)
+        obs = np.eye(17)[5]
+        first = forward_row(net, obs)
+        hit = forward_row(net, obs.copy())
+        assert all(h is f for h, f in zip(hit, first))
+        out, (_, logits, _) = forward(net, obs)
+        assert hit[0].tobytes() == out.tobytes()
+        assert hit[1].tobytes() == logits[0].tobytes()
+        assert not hit[0].flags.writeable
+
+
+def test_apply_update_clears_the_policy_memo():
+    obs = np.array([1.0, 0.0])
+    qnet = init_mlp([2, 3], LINEAR, 0)
+    actor = init_mlp([2, 3], SOFTMAX, 0)
+    helpers = [
+        (qnet, lambda rng: act_epsilon_greedy(qnet, obs, 0.0, rng),
+         lambda rng: uncached_epsilon_greedy(qnet, obs, 0.0, rng)),
+        (qnet, lambda rng: argmax_policy(qnet)(obs, rng),
+         lambda rng: uncached_argmax(qnet, obs, rng)),
+        (actor, lambda rng: argmax_policy(actor)(obs, rng),
+         lambda rng: uncached_argmax(actor, obs, rng)),
+        (actor, lambda rng: sample_policy_action(actor, obs, rng),
+         lambda rng: uncached_sample(actor, obs, rng)),
+    ]
+    for net in (qnet, actor):
+        net.weights[0][:] = 0.0  # every output ties, so the argmax is 0
+    for _, helper, _ in helpers:
+        helper(np.random.default_rng(0))
+    # one Adam step of size lr moves the biases to [-1, 0, 1]
+    for net in (qnet, actor):
+        grads = GradientSet([np.zeros((2, 3))], [np.array([1.0, 0.0, -1.0])])
+        apply_update(net, OptimizerState(lr=1.0), grads)
+        assert uncached_argmax(net, obs, None) == 2
+    for net, helper, uncached in helpers:
+        assert helper(np.random.default_rng(1)) == uncached(
+            np.random.default_rng(1))
+
+
+def test_copy_starts_with_an_empty_memo():
+    net = init_mlp([17, 8, 23], LINEAR, 0)
+    argmax_policy(net)(np.eye(17)[3], None)
+    assert len(net.memo) == 1
+    assert net.copy().memo == {}
+    assert "memo" not in repr(net)
+
+
+def test_argmax_and_sampling_share_one_memo():
+    actor = init_mlp([17, 16, 23], SOFTMAX, 2)
+    policy = argmax_policy(actor)
+    rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+    for i in range(200):
+        obs = np.eye(17)[i * 7 % 5]
+        if i % 3:
+            assert sample_policy_action(actor, obs, rng) == uncached_sample(
+                actor, obs, twin)
+        else:
+            assert policy(obs, rng) == uncached_argmax(actor, obs, twin)
+    assert len(actor.memo) == 5
 
 
 # -- replay buffer --------------------------------------------------------------
@@ -257,8 +355,6 @@ def test_a2c_gradients_match_loss_decrease():
     obs = rng.normal(size=(32, 2))
     actions = rng.integers(2, size=32)
     returns = rng.normal(size=32)
-    from cyberdefsim.neural_net import OptimizerState
-
     a_opt, c_opt = OptimizerState(lr=0.01), OptimizerState(lr=0.01)
     value_losses = []
     for _ in range(21):
@@ -291,8 +387,6 @@ def test_ppo_ratio_one_at_old_policy():
     obs = rng.normal(size=(16, 2))
     actions = rng.integers(2, size=16)
     _, cache = forward(actor, obs)
-    from cyberdefsim.neural_net import log_softmax
-
     old_logp = log_softmax(cache[1])[np.arange(16), actions]
     adv = rng.normal(size=16)
 

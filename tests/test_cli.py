@@ -117,10 +117,13 @@ def assert_one_error_line(result):
     {"impact": "x"},
     {"horizon": "x"},
     {"train_fraction": "x"},
+    {"hyperparams": {"grad_clip": "x"}},
+    {"algorithm": "a2c", "hyperparams": {"entropy_coef": "x"}},
+    {"algorithm": "ppo", "hyperparams": {"ppo_clip": "x"}},
 ])
 def test_train_rejects_bad_config_in_one_line(runner, tmp_path, doc):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc))
+    config.write_text(json.dumps({"output_dir": str(tmp_path / "run"), **doc}))
     result = runner.invoke(main, ["train", "--config", str(config)])
     assert_one_error_line(result)
     assert "Traceback" not in result.output
@@ -133,12 +136,22 @@ def write_checkpoint(path):
     return json.loads(path.read_text())
 
 
+def with_qnet_weights(doc, mutate):
+    """doc with its qnet's first weight array replaced by mutate(array)."""
+    qnet = doc["networks"]["qnet"]
+    weights = [mutate(qnet["weights"][0])] + qnet["weights"][1:]
+    return {**doc, "networks": {"qnet": {**qnet, "weights": weights}}}
+
+
 @pytest.mark.parametrize("mutate", [
     lambda doc: [],
     lambda doc: {**doc, "networks": []},
     lambda doc: {k: v for k, v in doc.items() if k != "networks"},
     lambda doc: {**doc, "networks": {"qnet": {
         k: v for k, v in doc["networks"]["qnet"].items() if k != "layer_dims"}}},
+    lambda doc: with_qnet_weights(doc, lambda text: text[:-1]),
+    lambda doc: with_qnet_weights(doc, lambda text: [0.0] * 68),
+    lambda doc: with_qnet_weights(doc, lambda text: text[:16]),
 ])
 def test_eval_bad_checkpoint_names_the_file(runner, tmp_path, mutate):
     ckpt = tmp_path / "ckpt.json"
@@ -147,6 +160,17 @@ def test_eval_bad_checkpoint_names_the_file(runner, tmp_path, mutate):
                                   str(write_config(tmp_path)), "--episodes", "3"])
     assert_one_error_line(result)
     assert str(ckpt) in result.output
+
+
+@pytest.mark.parametrize("episodes", ["-1", "0"])
+def test_eval_rejects_non_positive_episodes(runner, tmp_path, episodes):
+    ckpt = tmp_path / "ckpt.json"
+    write_checkpoint(ckpt)
+    result = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--config",
+                                  str(write_config(tmp_path)),
+                                  "--episodes", episodes])
+    assert_one_error_line(result)
+    assert "--episodes" in result.output
 
 
 def test_validate_bad_catalog_names_the_file(runner, tmp_path):

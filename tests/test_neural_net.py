@@ -1,5 +1,7 @@
 """Unit tests for the MLP substrate: forward, backward, Adam, storage."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,44 @@ def test_serialization_roundtrip(tmp_path):
         mutate(doc)
         with pytest.raises(ValueError):
             net_from_dict(doc)
+
+
+def test_checkpoint_v2_roundtrip_is_bit_exact():
+    net = init_mlp([3, 4, 2], LINEAR, 5)
+    net.weights[0][0, 0] = -0.0
+    net.weights[0][1, 2] = 5e-324  # smallest subnormal
+    net.biases[1][:] = [np.nextafter(0.0, -1.0), 1.0 / 3.0]
+    doc = net_to_dict(net)
+    assert doc["version"] == "2"
+    assert all(isinstance(a, str) for a in doc["weights"] + doc["biases"])
+    clone = net_from_dict(json.loads(json.dumps(doc)))
+    assert (clone.dims, clone.head) == (net.dims, net.head)
+    for a, b in zip(net.weights + net.biases, clone.weights + clone.biases):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert b.dtype == np.float64 and b.flags.writeable and b.flags.owndata
+    assert np.signbit(clone.weights[0][0, 0])
+
+
+def test_checkpoint_v1_document_is_rejected():
+    net = init_mlp([3, 4, 2], LINEAR, 5)
+    v1 = {"version": "1", "layer_dims": [3, 4, 2], "head": LINEAR,
+          "weights": [w.ravel().tolist() for w in net.weights],
+          "biases": [b.tolist() for b in net.biases]}
+    with pytest.raises(ValueError, match="version '1'"):
+        net_from_dict(v1)
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (lambda text: text[:-1], "base64"),                  # truncated
+    (lambda text: "*" + text[1:], "base64"),             # not a base64 digit
+    (lambda text: text[:16], "bytes"),                   # 12 of 96 bytes
+    (lambda text: [0.0] * 12, "base64 string"),          # a v1 number list
+])
+def test_checkpoint_v2_bad_array_raises(mutate, match):
+    doc = net_to_dict(init_mlp([3, 4, 2], LINEAR, 5))
+    doc["weights"][0] = mutate(doc["weights"][0])
+    with pytest.raises(ValueError, match=match):
+        net_from_dict(doc)
 
 
 def test_copy_is_deep():
