@@ -1,10 +1,8 @@
-"""Per-episode adversary behavior: skill, persistence, and termination logic."""
+"""Adversary profiles (skill, persistence, stealth) and the skill draw."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .attack_graph import AttackGraph, AttackPath, AttackState
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -45,58 +43,6 @@ def profile_by_name(name: str) -> AdversaryProfile:
     raise KeyError(f"unknown adversary profile {name!r}")
 
 
-@dataclass(frozen=True)
-class AdversaryStatus:
-    """Where the adversary stands in an episode, and its failure tally."""
-
-    position: AttackState
-    path_cursor: int = 0
-    failures: int = 0
-    terminated: bool = False
-
-
-def initial_status(graph: AttackGraph) -> AdversaryStatus:
-    return AdversaryStatus(position=graph.initiated)
-
-
-def next_target(status: AdversaryStatus, path: AttackPath) -> int:
-    """Technique id the adversary will attempt next."""
-    if status.terminated:
-        raise ValueError("adversary already terminated")
-    if status.path_cursor >= len(path):
-        raise ValueError("path exhausted; episode should have ended")
-    return path.steps[status.path_cursor]
-
-
 def attempt(profile: AdversaryProfile, rng) -> bool:
     """One Bernoulli(rho) skill draw; consumes exactly one uniform."""
     return rng.random() < profile.rho
-
-
-def record_outcome(
-    status: AdversaryStatus,
-    profile: AdversaryProfile,
-    succeeded: bool,
-    path: AttackPath,
-    graph: AttackGraph,
-) -> AdversaryStatus:
-    """Advance on success; on failure burn budget and terminate at the tau-th.
-
-    Blocked attempts and skill failures are indistinguishable here: both count
-    against the same episode-wide failure budget.
-    """
-    if status.terminated:
-        raise ValueError("adversary already terminated")
-    if succeeded:
-        tid = path.steps[status.path_cursor]
-        return replace(
-            status,
-            position=graph.state_of(tid),
-            path_cursor=status.path_cursor + 1,
-        )
-    failures = status.failures + 1
-    if failures >= profile.tau:
-        return replace(
-            status, failures=failures, terminated=True, position=graph.terminated
-        )
-    return replace(status, failures=failures)

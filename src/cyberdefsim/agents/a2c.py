@@ -29,6 +29,14 @@ def make_actor_critic(obs_dim: int, n_actions: int, seed, hidden=(256, 256)):
     return actor, critic
 
 
+def _critic_gradients(critic: Mlp, values, cache, returns, grad_clip: float):
+    """Clipped gradient of the mean squared error of `values` to `returns`."""
+    grad_v = (2.0 * (values[:, 0] - returns) / len(returns))[:, None]
+    grads = backward(critic, cache, grad_v)
+    clip_gradients(grads, grad_clip)
+    return grads
+
+
 def a2c_gradients(actor: Mlp, critic: Mlp, obs, actions, returns, hp: HyperParams):
     """Gradients of the actor/critic losses, clipped; plus loss statistics."""
     obs = np.asarray(obs, dtype=float)
@@ -52,11 +60,9 @@ def a2c_gradients(actor: Mlp, critic: Mlp, obs, actions, returns, hp: HyperParam
     grad_logits /= n
     actor_grads = backward(actor, a_cache, grad_logits, from_logits=True)
 
-    grad_v = (2.0 * (values[:, 0] - returns) / n)[:, None]
-    critic_grads = backward(critic, c_cache, grad_v)
-
     clip_gradients(actor_grads, hp.grad_clip)
-    clip_gradients(critic_grads, hp.grad_clip)
+    critic_grads = _critic_gradients(critic, values, c_cache, returns,
+                                    hp.grad_clip)
 
     chosen_logp = logp[np.arange(n), actions]
     stats = {

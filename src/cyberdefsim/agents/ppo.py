@@ -13,7 +13,7 @@ from ..neural_net import (
     log_softmax,
 )
 from .common import HyperParams, advantage
-from .a2c import A2CTrainer
+from .a2c import A2CTrainer, _critic_gradients
 
 
 def ppo_gradients(actor: Mlp, obs, actions, advantages, old_logp,
@@ -64,7 +64,6 @@ class PPOTrainer(A2CTrainer):
                                   self.hp)
             apply_update(self.actor, self.actor_opt, grads)
             values, c_cache = forward(self.critic, obs)
-            grad_v = (2.0 * (values[:, 0] - returns) / len(returns))[:, None]
-            c_grads = backward(self.critic, c_cache, grad_v)
-            clip_gradients(c_grads, self.hp.grad_clip)
+            c_grads = _critic_gradients(self.critic, values, c_cache, returns,
+                                       self.hp.grad_clip)
             apply_update(self.critic, self.critic_opt, c_grads)

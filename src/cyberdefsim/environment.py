@@ -1,7 +1,8 @@
 """Episodic attack/defense simulation with noisy one-hot observations.
 
-Per-timestep order: defense block draw, attack skill draw, adversary update,
-benign-interruption sampling, reward, observation, termination bookkeeping.
+Per-timestep order: defense block draw, attack skill draw (only when not
+blocked), adversary update, benign-interruption sampling, reward,
+observation, termination bookkeeping.
 """
 
 from __future__ import annotations
@@ -11,14 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .adversary import (
-    AdversaryProfile,
-    AdversaryStatus,
-    attempt,
-    initial_status,
-    next_target,
-    record_outcome,
-)
+from .adversary import AdversaryProfile, attempt
 from .attack_graph import AttackGraph, AttackPath, AttackState, TERMINATED
 from .defense import (
     DefenseCatalog,
@@ -144,18 +138,20 @@ def observe(true_state: AttackState, profile: AdversaryProfile, rng,
 
 
 class CyberDefenseEnv:
-    """Single-owner episodic simulator; clone with distinct seeds to parallelize."""
+    """Single-owner episodic simulator; clone with distinct seeds to parallelize.
 
-    def __init__(self, config: EnvConfig, log_trajectory: bool = False):
+    Holds the adversary's position, path cursor and failure tally."""
+
+    def __init__(self, config: EnvConfig):
         self.config = config
         self.graph = config.graph
         self.catalog = config.catalog
         self.profile = config.profile
         self.rng = np.random.default_rng(config.seed)
-        self.log_trajectory = log_trajectory
-        self.trajectory: list[dict] = []
         self._path: AttackPath | None = None
-        self._status: AdversaryStatus | None = None
+        self._position: AttackState | None = None
+        self._cursor = 0
+        self._failures = 0
         self._t = 0
         self._done = True
         # strongest block the catalog can field against each technique,
@@ -173,10 +169,11 @@ class CyberDefenseEnv:
     def reset(self, path: AttackPath) -> np.ndarray:
         self.graph.validate_path(path)
         self._path = path
-        self._status = initial_status(self.graph)
+        self._position = self.graph.initiated
+        self._cursor = 0
+        self._failures = 0
         self._t = 0
         self._done = False
-        self.trajectory = []
         # the pre-attack position is observed exactly
         return one_hot(self.graph.initiated.index, self.observation_dim)
 
@@ -184,76 +181,53 @@ class CyberDefenseEnv:
         if self._done:
             raise RuntimeError("step() after episode end; call reset()")
         action = self.catalog.actions[action_id]
-        status = self._status
-        pre_depth = self.graph.tactic_depth(status.position)
+        path, profile = self._path, self.profile
+        pre_depth = self.graph.tactic_depth(self._position)
 
-        target = self.graph.techniques[next_target(status, self._path)]
-        beta = block_probability(self.catalog, action, target)
-        blocked = self.rng.random() < beta
-        succeeded = False if blocked else attempt(self.profile, self.rng)
-        status = record_outcome(status, self.profile, succeeded, self._path, self.graph)
+        target_id = path.steps[self._cursor]
+        beta = block_probability(self.catalog, action,
+                                 self.graph.techniques[target_id])
+        # the skill draw is made only when the defense did not block
+        if self.rng.random() >= beta and attempt(profile, self.rng):
+            self._position = self.graph.state_of(target_id)
+            self._cursor += 1
+        else:
+            # blocks and skill failures spend the same episode-wide budget
+            self._failures += 1
+            if self._failures >= profile.tau:
+                self._position = self.graph.terminated
 
         interrupted = sample_interruptions(self.catalog, action, pre_depth, self.rng)
         cost = action_cost(self.catalog, action, interrupted)
 
         self._t += 1
-        if status.path_cursor >= len(self._path):
-            outcome = ADVERSARY_WIN
-        elif status.terminated:
-            outcome = DEFENDER_WIN
-        elif self._t >= self.config.horizon:
-            outcome = TRUNCATED
+        if self._cursor >= len(path):
+            outcome, p_goal = ADVERSARY_WIN, 1.0
+        elif self._failures >= profile.tau:
+            outcome, p_goal = DEFENDER_WIN, 0.0
         else:
-            outcome = ONGOING
-
-        if outcome == ADVERSARY_WIN:
-            p_goal = 1.0
-        elif outcome == DEFENDER_WIN:
-            p_goal = 0.0
-        else:
-            rho = self.profile.rho
+            outcome = TRUNCATED if self._t >= self.config.horizon else ONGOING
+            rho = profile.rho
             if self.config.risk_mode == RISK_RESIDUAL:
-                next_tid = self._path.steps[status.path_cursor]
-                rho = (1.0 - self._best_block[next_tid]) * rho
+                rho = (1.0 - self._best_block[path.steps[self._cursor]]) * rho
             elif self.config.risk_mode == RISK_ACTION_AWARE:
                 rho = (1.0 - beta) * rho
-            p_goal = compute_p_goal(
-                self._path, status.path_cursor,
-                self.profile.tau - status.failures, rho,
-            )
+            p_goal = compute_p_goal(path, self._cursor,
+                                    profile.tau - self._failures, rho)
 
         reward = reward_of_transition(self.config.reward_model, p_goal, outcome, cost)
-        obs = observe(status.position, self.profile, self.rng, self.graph)
+        obs = observe(self._position, profile, self.rng, self.graph)
 
-        self._status = status
         self._done = outcome != ONGOING
         info = {
-            "true_state": status.position.index,
-            "defense_blocked": blocked,
-            "attack_succeeded": succeeded,
-            "interrupted": interrupted,
             "outcome": outcome,
-            "p_goal": p_goal,
             "cost": cost,
             # stage the attack halted at, for stop-tactic reporting: the final
             # pre-termination position for defender wins, the current position
             # otherwise (truncation buckets where the attacker sits)
             "stop_depth": pre_depth if outcome == DEFENDER_WIN
-            else self.graph.tactic_depth(status.position),
+            else self.graph.tactic_depth(self._position),
         }
-        if self.log_trajectory:
-            self.trajectory.append(
-                {
-                    "t": self._t,
-                    "action": action_id,
-                    "blocked": blocked,
-                    "attack_succeeded": succeeded,
-                    "true_state": status.position.index,
-                    "observed_state": int(np.argmax(obs)),
-                    "reward": reward,
-                    "outcome": outcome,
-                }
-            )
         return StepOutcome(obs, reward, self._done, info)
 
 

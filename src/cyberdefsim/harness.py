@@ -27,11 +27,9 @@ from .attack_graph import AttackGraph, load_graph, split_paths
 from .defense import DefenseCatalog, load_catalog
 from .environment import (
     CyberDefenseEnv,
-    DEFENDER_WIN,
     EnvConfig,
     RISK_RESIDUAL,
     RewardModel,
-    TRUNCATED,
     best_block_table,
     scripted_best_return,
 )
@@ -326,30 +324,6 @@ def train(config: ExperimentConfig, run_dir=None) -> Path:
     return run_dir
 
 
-def run_policy_episodes(policy, env: CyberDefenseEnv, paths, episodes: int, rng):
-    """Roll `episodes` greedy episodes; returns (wins, returns, stop_depths)."""
-    wins = 0
-    returns, stop_depths = [], []
-    for _ in range(episodes):
-        path = paths[int(rng.integers(len(paths)))]
-        obs = env.reset(path)
-        total = 0.0
-        while True:
-            action = policy(obs, rng)
-            result = env.step(action)
-            total += result.reward
-            obs = result.observation
-            if result.done:
-                win = result.info["outcome"] in (DEFENDER_WIN, TRUNCATED)
-                wins += win
-                stop_depths.append(
-                    result.info["stop_depth"] if win else env.graph.goal_tactic
-                )
-                break
-        returns.append(total)
-    return wins, returns, stop_depths
-
-
 @dataclass
 class EvalReport:
     episodes: int
@@ -387,21 +361,32 @@ class EvalReport:
             writer.writerow(["mean_reward_pct", f"{self.mean_reward_pct:.6f}"])
 
 
-def evaluate_policy(policy, config: ExperimentConfig, test_paths=None,
-                    episodes=None, seed: int = 0) -> EvalReport:
+def _evaluate(make_policy, config: ExperimentConfig, test_paths, episodes,
+              seed: int) -> EvalReport:
+    """Roll `episodes` episodes of make_policy(n_actions) on the held-out
+    paths; the policy and the path draws share one stream."""
     graph = config.load_graph()
     catalog = config.load_catalog(graph)
+    policy = make_policy(len(catalog))
     if test_paths is None:
         _, test_paths = split_for_config(config, graph)
     if episodes is None:
         episodes = config.eval_episodes
     env_cfg = config.env_config(graph, catalog,
                                 np.random.SeedSequence([seed, 0xE7A]))
-    env = CyberDefenseEnv(env_cfg)
     rng = np.random.default_rng([seed, 0x5EED])
-    wins, returns, stop_depths = run_policy_episodes(
-        policy, env, test_paths, episodes, rng
-    )
+    wins, returns, stop_depths = [], [], []
+
+    def record(win, episode_return, _length, info):
+        wins.append(win)
+        returns.append(episode_return)
+        stop_depths.append(info["stop_depth"] if win else graph.goal_tactic)
+
+    runner = EpisodeRunner(CyberDefenseEnv(env_cfg), test_paths, rng,
+                           on_episode_end=record)
+    while len(returns) < episodes:
+        runner.step(policy(runner.obs, rng))
+
     hist_counts: dict[int, int] = {}
     for d in stop_depths:
         hist_counts[d] = hist_counts.get(d, 0) + 1
@@ -424,7 +409,7 @@ def evaluate_policy(policy, config: ExperimentConfig, test_paths=None,
                               for p in test_paths]))
     return EvalReport(
         episodes=episodes,
-        dwr=wins / episodes,
+        dwr=sum(wins) / episodes,
         histogram=histogram,
         cumulative_t3=cum_t3,
         cumulative_t6=cum_t6,
@@ -434,23 +419,24 @@ def evaluate_policy(policy, config: ExperimentConfig, test_paths=None,
     )
 
 
+def evaluate_policy(policy, config: ExperimentConfig, test_paths=None,
+                    episodes=None, seed: int = 0) -> EvalReport:
+    return _evaluate(lambda _n_actions: policy, config, test_paths, episodes,
+                     seed)
+
+
 def evaluate(checkpoint_path, config: ExperimentConfig, test_paths=None,
              episodes=None, seed: int = 0) -> EvalReport:
     """Greedy/mode evaluation of a checkpoint on the held-out paths."""
-    graph = config.load_graph()
-    catalog = config.load_catalog(graph)
-    checkpoint = load_checkpoint(checkpoint_path)
-    policy = checkpoint_policy(checkpoint, len(catalog))
-    return evaluate_policy(policy, config, test_paths=test_paths,
-                           episodes=episodes, seed=seed)
+    return _evaluate(
+        lambda n_actions: checkpoint_policy(load_checkpoint(checkpoint_path),
+                                            n_actions),
+        config, test_paths, episodes, seed)
 
 
 def random_baseline(config: ExperimentConfig, episodes=None,
                     seed: int = 0) -> EvalReport:
-    graph = config.load_graph()
-    catalog = config.load_catalog(graph)
-    return evaluate_policy(random_policy(len(catalog)), config,
-                           episodes=episodes, seed=seed)
+    return _evaluate(random_policy, config, None, episodes, seed)
 
 
 def final_dwr(metrics_path, last_n: int = 5) -> float:

@@ -240,14 +240,24 @@ def test_mutated_inputs_fail_in_one_line(tmp_path_factory, kind, data):
         (root / f"{name}.json").write_text(json.dumps(doc))
     files = {name: str(root / f"{name}.json") for name in docs}
     if kind in ("graph", "catalog"):
-        args = ["validate", f"--{kind}", files[kind]]
+        commands = [["validate", f"--{kind}", files[kind]]]
     else:
-        args = ["eval", "--checkpoint", files["checkpoint"],
-                "--config", files["config"], "--episodes", "3"]
-    result = CliRunner().invoke(main, args)
-    assert "Traceback" not in result.output
-    if result.exit_code != 0:
-        assert_one_error_line(result)
+        commands = [["eval", "--checkpoint", files["checkpoint"],
+                     "--config", files["config"], "--episodes", "3"]]
+    # train too, unless the mutation restored a long default recipe
+    hp = docs["config"].get("hyperparams") \
+        if isinstance(docs["config"], dict) else None
+    if kind == "config" and isinstance(hp, dict) \
+            and (hp.get("epochs"), hp.get("steps_per_epoch")) == (1, 500):
+        commands.append(["train", "--config", files["config"]])
+    runner = CliRunner()
+    for args in commands:
+        # a relative or default output_dir lands in a throwaway directory
+        with runner.isolated_filesystem(temp_dir=root):
+            result = runner.invoke(main, args)
+        assert "Traceback" not in result.output
+        if result.exit_code != 0:
+            assert_one_error_line(result)
 
 
 def test_eval_missing_checkpoint(runner, tmp_path):

@@ -1,9 +1,11 @@
 """Unit tests for the episodic simulator, reward model, and risk term."""
 
+import json
+
 import numpy as np
 import pytest
 
-from cyberdefsim.adversary import profile_by_name
+from cyberdefsim.adversary import AdversaryProfile, profile_by_name
 from cyberdefsim.attack_graph import AttackPath, load_graph
 from cyberdefsim.defense import load_catalog
 from cyberdefsim.environment import (
@@ -37,10 +39,14 @@ def catalog(graph):
 
 
 def make_env(graph, catalog, profile="Av1", **kw):
-    cfg = EnvConfig(
-        graph=graph, catalog=catalog, profile=profile_by_name(profile), **kw
-    )
-    return CyberDefenseEnv(cfg)
+    if isinstance(profile, str):
+        profile = profile_by_name(profile)
+    return CyberDefenseEnv(EnvConfig(graph=graph, catalog=catalog,
+                                     profile=profile, **kw))
+
+
+# every attempt the defense lets through succeeds
+CERTAIN_SKILL = AdversaryProfile("x", rho=1.0, tau=3, obs_accuracy=0.5)
 
 
 # -- goal probability ----------------------------------------------------------
@@ -224,9 +230,7 @@ def test_horizon_truncation(graph, catalog):
             break
     assert done_at <= 3
     if result.info["outcome"] == TRUNCATED:
-        assert result.info["stop_depth"] == env.graph.tactic_depth(
-            env._status.position
-        )
+        assert result.info["stop_depth"] == env.graph.tactic_depth(env._position)
 
 
 def test_defender_win_reward_and_stop_depth(graph, catalog):
@@ -252,12 +256,58 @@ def test_seeded_episode_determinism(graph, catalog):
     traces = []
     for _ in range(2):
         env = make_env(graph, catalog, seed=42)
-        env.log_trajectory = True
-        env.reset(path)
-        while not env.step(2).done:
-            pass
-        traces.append(env.trajectory)
+        trace = [env.reset(path).tolist()]
+        while True:
+            result = env.step(2)
+            trace.append((result.observation.tolist(), result.reward,
+                          result.done, result.info))
+            if result.done:
+                break
+        traces.append(trace)
     assert traces[0] == traces[1]
+
+
+def test_success_advances_cursor_and_position(graph, catalog):
+    # the null action never blocks, so every step succeeds
+    env = make_env(graph, catalog, profile=CERTAIN_SKILL)
+    path = graph.enumerate_paths()[0]
+    env.reset(path)
+    for i, tid in enumerate(path.steps):
+        result = env.step(0)
+        assert env._cursor == i + 1
+        assert env._position == graph.state_of(tid)
+        assert env._failures == 0
+        assert result.done == (i + 1 == len(path))
+    assert result.info["outcome"] == ADVERSARY_WIN
+
+
+def test_failures_terminate_at_tau(graph):
+    # a catalog whose reactive action blocks every attempt
+    doc = json.loads(default_catalog_path().read_text())
+    certain = load_catalog({**doc, "reactive_block_prob": 1.0}, graph)
+    profile = AdversaryProfile("x", rho=0.5, tau=3, obs_accuracy=0.5)
+    env = make_env(graph, certain, profile=profile)
+    env.reset(graph.enumerate_paths()[0])
+    for expected in range(1, profile.tau):
+        assert not env.step(1).done
+        assert env._failures == expected
+        assert (env._cursor, env._position) == (0, graph.initiated)
+    result = env.step(1)
+    assert result.done and result.info["outcome"] == DEFENDER_WIN
+    assert env._position == graph.terminated
+    with pytest.raises(RuntimeError):
+        env.step(1)
+
+
+def test_no_step_after_path_end(graph, catalog):
+    env = make_env(graph, catalog, profile=CERTAIN_SKILL)
+    path = graph.enumerate_paths()[0]
+    env.reset(path)
+    for _ in path.steps:
+        result = env.step(0)
+    assert result.done and env._cursor == len(path)
+    with pytest.raises(RuntimeError):
+        env.step(0)
 
 
 def test_risk_mode_alters_ongoing_reward(graph, catalog):

@@ -1,6 +1,7 @@
 """Unit tests for experiment configuration, metrics, checkpoints, and sweeps."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from cyberdefsim.harness import (
     default_catalog_path,
     default_graph_path,
     evaluate,
+    evaluate_policy,
     final_dwr,
     load_checkpoint,
     mean_reward_percent,
@@ -206,6 +208,38 @@ def test_random_baseline_bounds(tmp_path):
     cfg = tiny_config(tmp_path)
     report = random_baseline(cfg, episodes=100)
     assert 0.0 <= report.dwr <= 1.0
+
+
+# sha256 of EvalReport.write_csv for 300 episodes at seed 7. These reports
+# run no network, so any change to the simulator's draws, their order, or the
+# episode loop's path draws moves them.
+PINNED_BASELINES = {
+    ("random", "Av1"):
+        "1492269e598423f9742fe11d3282771cd47eaf190fb18c42c8e6e9a1dd303f25",
+    ("null", "Av1"):
+        "f9c7c9d0a714fff03a8ed5ade3e6cf02bcb361e69ee6e258ba3c79624787cf66",
+    ("random", "Av2"):
+        "f70eeff083ad97d89f7dbedd9033f7a7835a815bdd36a34feef1027b51f0ca4d",
+    ("null", "Av2"):
+        "df91d453b2d5ee54c8788683c2ae3acb7e63ef37c446ba6e40549c6581042688",
+    ("random", "Av3"):
+        "26bc6ab14f19c68fc7dd18a1eb67e3ccdb7c3ff5cf781a9f727b91c1c663dfea",
+    ("null", "Av3"):
+        "362dd638ccd4b07033132763df49c077122d80e2eb79f1367ca1007dd5f47166",
+}
+
+
+@pytest.mark.parametrize("kind,profile", sorted(PINNED_BASELINES))
+def test_baseline_reports_are_pinned(tmp_path, kind, profile):
+    cfg = ExperimentConfig(profile=profile, eval_episodes=300)
+    if kind == "random":
+        report = random_baseline(cfg, seed=7)
+    else:
+        report = evaluate_policy(lambda obs, rng: 0, cfg, seed=7)
+    out = tmp_path / "report.csv"
+    report.write_csv(out)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == PINNED_BASELINES[kind, profile]
 
 
 def test_algorithms_tuple():
