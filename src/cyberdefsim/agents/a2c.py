@@ -37,6 +37,23 @@ def _critic_gradients(critic: Mlp, values, cache, returns, grad_clip: float):
     return grads
 
 
+def _policy_gradients(actor: Mlp, cache, actions, coeff, hp: HyperParams):
+    """Clipped gradient of -mean(coeff * logpi(a)) - entropy_coef * mean(H),
+    `coeff` held constant; returns (grads, log-probabilities, entropies)."""
+    n = len(actions)
+    probs = cache[2]
+    logp = log_softmax(cache[1])
+    ent = -np.sum(probs * logp, axis=1)
+    grad_logits = probs.copy()
+    grad_logits[np.arange(n), actions] -= 1.0
+    grad_logits *= coeff[:, None]
+    grad_logits += hp.entropy_coef * probs * (logp + ent[:, None])
+    grad_logits /= n
+    grads = backward(actor, cache, grad_logits, from_logits=True)
+    clip_gradients(grads, hp.grad_clip)
+    return grads, logp, ent
+
+
 def a2c_gradients(actor: Mlp, critic: Mlp, obs, actions, returns, hp: HyperParams):
     """Gradients of the actor/critic losses, clipped; plus loss statistics."""
     obs = np.asarray(obs, dtype=float)
@@ -46,21 +63,8 @@ def a2c_gradients(actor: Mlp, critic: Mlp, obs, actions, returns, hp: HyperParam
 
     values, c_cache = forward(critic, obs)
     adv = advantage(returns, values[:, 0])
-
-    probs, a_cache = forward(actor, obs)
-    logits = a_cache[1]
-    logp = log_softmax(logits)
-    ent = -np.sum(probs * logp, axis=1)
-
-    # d/dlogits of -mean(logpi(a) * A) - coef * mean(H)
-    grad_logits = probs.copy()
-    grad_logits[np.arange(n), actions] -= 1.0
-    grad_logits *= adv[:, None]
-    grad_logits += hp.entropy_coef * probs * (logp + ent[:, None])
-    grad_logits /= n
-    actor_grads = backward(actor, a_cache, grad_logits, from_logits=True)
-
-    clip_gradients(actor_grads, hp.grad_clip)
+    _, a_cache = forward(actor, obs)
+    actor_grads, logp, ent = _policy_gradients(actor, a_cache, actions, adv, hp)
     critic_grads = _critic_gradients(critic, values, c_cache, returns,
                                     hp.grad_clip)
 

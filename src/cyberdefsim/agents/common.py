@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -34,6 +35,12 @@ class HyperParams:
     grad_clip: float = 40.0
 
     def __post_init__(self):
+        for name in ("gamma", "alpha", "eps_initial", "eps_final",
+                     "entropy_coef", "ppo_clip", "grad_clip"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 0 <= self.gamma < 1:
             raise ValueError("gamma must lie in [0,1)")
         if self.alpha <= 0:
@@ -46,10 +53,6 @@ class HyperParams:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("entropy_coef", "ppo_clip", "grad_clip"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
 
     def with_overrides(self, **kw) -> "HyperParams":
         return replace(self, **kw)

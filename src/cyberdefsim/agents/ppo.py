@@ -4,16 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..neural_net import (
-    Mlp,
-    apply_update,
-    backward,
-    clip_gradients,
-    forward,
-    log_softmax,
-)
+from ..neural_net import Mlp, apply_update, forward, log_softmax
 from .common import HyperParams, advantage
-from .a2c import A2CTrainer, _critic_gradients
+from .a2c import A2CTrainer, _critic_gradients, _policy_gradients
 
 
 def ppo_gradients(actor: Mlp, obs, actions, advantages, old_logp,
@@ -22,28 +15,16 @@ def ppo_gradients(actor: Mlp, obs, actions, advantages, old_logp,
     actions = np.asarray(actions)
     advantages = np.asarray(advantages, dtype=float)
     old_logp = np.asarray(old_logp, dtype=float)
-    n = len(actions)
 
-    probs, cache = forward(actor, obs)
-    logp = log_softmax(cache[1])
-    new_logp = logp[np.arange(n), actions]
+    _, cache = forward(actor, obs)
+    new_logp = log_softmax(cache[1])[np.arange(len(actions)), actions]
     ratio = np.exp(new_logp - old_logp)
     clipped = np.clip(ratio, 1 - hp.ppo_clip, 1 + hp.ppo_clip)
     unclipped_term = ratio * advantages
-    clipped_term = clipped * advantages
     # gradient flows through the ratio only where the unclipped branch is taken
-    active = unclipped_term <= clipped_term
-    ent = -np.sum(probs * logp, axis=1)
-
-    onehot_minus_p = -probs.copy()
-    onehot_minus_p[np.arange(n), actions] += 1.0
-    coeff = np.where(active, ratio * advantages, 0.0)
-    grad_logits = -coeff[:, None] * onehot_minus_p
-    grad_logits += hp.entropy_coef * probs * (logp + ent[:, None])
-    grad_logits /= n
-    grads = backward(actor, cache, grad_logits, from_logits=True)
-    clip_gradients(grads, hp.grad_clip)
-    return grads
+    active = unclipped_term <= clipped * advantages
+    coeff = np.where(active, unclipped_term, 0.0)
+    return _policy_gradients(actor, cache, actions, coeff, hp)[0]
 
 
 class PPOTrainer(A2CTrainer):

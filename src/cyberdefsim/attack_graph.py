@@ -79,9 +79,6 @@ class AttackGraph:
             tid: AttackState(TECHNIQUE, tid, i + 1) for i, tid in enumerate(ordered)
         }
         self.terminated = AttackState(TERMINATED, None, len(ordered) + 1)
-        self._by_index = {s.index: s for s in self._tech_states.values()}
-        self._by_index[0] = self.initiated
-        self._by_index[self.terminated.index] = self.terminated
 
     # -- construction-time checks ------------------------------------------
 
@@ -165,9 +162,6 @@ class AttackGraph:
     def state_of(self, technique_id: int) -> AttackState:
         return self._tech_states[technique_id]
 
-    def state_at_index(self, index: int) -> AttackState:
-        return self._by_index[index]
-
     def tactic_depth(self, state: AttackState) -> int:
         """Stage depth 0..goal for live states; sentinel for Terminated."""
         if state.kind == TERMINATED:
@@ -224,28 +218,31 @@ def _parse_state_ref(ref):
 
 
 def load_graph(source, relaxed_counts: bool = False) -> AttackGraph:
-    """Build a validated AttackGraph from a document dict or a JSON file path."""
-    if isinstance(source, (str, Path)):
-        doc = json.loads(Path(source).read_text())
-    else:
-        doc = source
+    """Build a validated AttackGraph from a document dict or a JSON file path.
+
+    Every error raised for a file names the file.
+    """
+    where = f"{source}: " if isinstance(source, (str, Path)) else ""
     try:
+        doc = json.loads(Path(source).read_text()) if where else source
         tactics = [Tactic(int(t["id"]), str(t["name"])) for t in doc["tactics"]]
         techniques = [
             Technique(int(t["id"]), str(t["name"]), int(t["tactic"]), bool(t["is_goal"]))
             for t in doc["techniques"]
         ]
         edges = [( _parse_state_ref(frm), _parse_state_ref(to)) for frm, to in doc["edges"]]
+        if len({t.id for t in tactics}) != len(tactics):
+            raise GraphError("duplicate tactic ids")
+        if len({t.id for t in techniques}) != len(techniques):
+            raise GraphError("duplicate technique ids")
+        for frm, to in edges:
+            if isinstance(to, str):
+                raise GraphError(f"edge target must be a technique, got {to!r}")
+        return AttackGraph(tactics, techniques, edges, relaxed_counts=relaxed_counts)
+    except GraphError as exc:
+        raise GraphError(f"{where}{exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
-        raise GraphError(f"malformed graph document: {exc}") from exc
-    if len({t.id for t in tactics}) != len(tactics):
-        raise GraphError("duplicate tactic ids")
-    if len({t.id for t in techniques}) != len(techniques):
-        raise GraphError("duplicate technique ids")
-    for frm, to in edges:
-        if isinstance(to, str):
-            raise GraphError(f"edge target must be a technique, got {to!r}")
-    return AttackGraph(tactics, techniques, edges, relaxed_counts=relaxed_counts)
+        raise GraphError(f"{where}malformed graph document: {exc}") from exc
 
 
 def split_paths(paths, train_fraction: float, seed: int):

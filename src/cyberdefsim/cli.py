@@ -1,6 +1,7 @@
 """`simctl` command line front-end for the training/evaluation harness.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 training divergence.
+Exit codes: 0 success, 1 usage, configuration or file error, 2 training
+divergence.
 """
 
 from __future__ import annotations
@@ -11,14 +12,9 @@ from pathlib import Path
 
 import click
 
-from .attack_graph import GraphError, load_graph
-from .defense import CatalogError, load_catalog
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    default_catalog_path,
-    default_graph_path,
-)
+from .attack_graph import load_graph
+from .defense import load_catalog
+from .harness import ExperimentConfig, default_catalog_path, default_graph_path
 from .harness import evaluate as harness_evaluate
 from .harness import sweep as harness_sweep
 from .harness import train as harness_train
@@ -33,7 +29,24 @@ def _fail(message: str, code: int = USAGE_ERROR):
     sys.exit(code)
 
 
-@click.group()
+class _Simctl(click.Group):
+    """Ends every command's failure in one `error:` line and its exit code.
+
+    ValueError covers ConfigError, GraphError and CatalogError; a broken
+    stdout pipe goes on to click, which exits quietly."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DivergenceError as exc:
+            _fail(f"training diverged: {exc}", DIVERGENCE)
+        except BrokenPipeError:
+            raise
+        except (ValueError, KeyError, OSError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Simctl)
 def main():
     """Cyber-defense simulation laboratory."""
 
@@ -43,11 +56,7 @@ def main():
               help="Attack graph document (defaults to the built-in graph).")
 def paths(graph_path):
     """Enumerate every attack path in a graph."""
-    try:
-        graph = load_graph(graph_path or default_graph_path())
-        enumerated = graph.enumerate_paths()
-    except (GraphError, OSError, ValueError) as exc:
-        _fail(str(exc))
+    enumerated = load_graph(graph_path or default_graph_path()).enumerate_paths()
     for path in enumerated:
         click.echo(" -> ".join(str(t) for t in path.steps))
     click.echo(f"{len(enumerated)} paths "
@@ -62,23 +71,13 @@ def paths(graph_path):
               help="Defense catalog document (defaults to the built-in catalog).")
 def validate(graph_path, catalog_path):
     """Check a graph and catalog for structural consistency."""
-    try:
-        graph = load_graph(graph_path or default_graph_path())
-        catalog = load_catalog(catalog_path or default_catalog_path(), graph)
-    except (GraphError, CatalogError, OSError, ValueError) as exc:
-        _fail(str(exc))
+    graph = load_graph(graph_path or default_graph_path())
+    catalog = load_catalog(catalog_path or default_catalog_path(), graph)
     n_paths = len(graph.enumerate_paths())
     click.echo(
         f"ok: {len(graph.techniques)} techniques, {graph.state_count} states, "
         f"{n_paths} paths, {len(catalog)} defense actions"
     )
-
-
-def _load_config(config_path) -> ExperimentConfig:
-    try:
-        return ExperimentConfig.from_json(config_path)
-    except ConfigError as exc:
-        _fail(str(exc))
 
 
 @main.command()
@@ -88,15 +87,10 @@ def _load_config(config_path) -> ExperimentConfig:
               help="Override the configured seed list with a single seed.")
 def train(config_path, seed):
     """Train an agent and write metrics.csv plus per-seed checkpoints."""
-    config = _load_config(config_path)
+    config = ExperimentConfig.from_json(config_path)
     if seed is not None:
         config = replace(config, seeds=[seed])
-    try:
-        run_dir = harness_train(config)
-    except DivergenceError as exc:
-        _fail(f"training diverged: {exc}", DIVERGENCE)
-    except (ConfigError, GraphError, CatalogError, ValueError) as exc:
-        _fail(str(exc))
+    run_dir = harness_train(config)
     click.echo(f"run complete: {run_dir / 'metrics.csv'}")
 
 
@@ -111,18 +105,17 @@ def train(config_path, seed):
               help="Also write the report as CSV to this path.")
 def eval_cmd(checkpoint_path, config_path, episodes, out_path):
     """Evaluate a checkpoint on the held-out attack paths."""
-    config = _load_config(config_path)
+    config = ExperimentConfig.from_json(config_path)
     if episodes is not None and episodes < 1:
         _fail(f"--episodes must be at least 1, got {episodes}")
     if not Path(checkpoint_path).exists():
         _fail(f"checkpoint does not exist: {checkpoint_path}")
-    try:
-        report = harness_evaluate(checkpoint_path, config, episodes=episodes)
-    except (ConfigError, GraphError, CatalogError, ValueError, KeyError) as exc:
-        _fail(str(exc))
-    click.echo(report.to_text())
+    report = harness_evaluate(checkpoint_path, config, episodes=episodes)
+    # write first, so an unwritable --out ends in the error line alone
     if out_path:
         report.write_csv(out_path)
+    click.echo(report.to_text())
+    if out_path:
         click.echo(f"wrote {out_path}")
 
 
@@ -133,7 +126,7 @@ def eval_cmd(checkpoint_path, config_path, episodes, out_path):
               help="Sweep axis, e.g. gamma=0.6,0.7,0.8,0.9 or alpha=0.005,0.01.")
 def sweep(config_path, axis):
     """Train once per axis value and rank by final defense win ratio."""
-    config = _load_config(config_path)
+    config = ExperimentConfig.from_json(config_path)
     if "=" not in axis:
         _fail("axis must look like name=v1,v2,... (e.g. gamma=0.6,0.7)")
     name, _, raw = axis.partition("=")
@@ -141,12 +134,7 @@ def sweep(config_path, axis):
         values = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError:
         _fail(f"non-numeric axis value in {raw!r}")
-    try:
-        result = harness_sweep(config, name.strip(), values)
-    except DivergenceError as exc:
-        _fail(f"training diverged: {exc}", DIVERGENCE)
-    except (ConfigError, GraphError, CatalogError, ValueError) as exc:
-        _fail(str(exc))
+    result = harness_sweep(config, name.strip(), values)
     for value, run_dir, score in result["results"]:
         marker = " *" if value == result["winner"] else ""
         click.echo(f"{name}={value}: final dwr {score:.4f} ({run_dir}){marker}")

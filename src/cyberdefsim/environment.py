@@ -7,6 +7,8 @@ observation, termination bookkeeping.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -45,8 +47,11 @@ class RewardModel:
     literal_iv: bool = False
 
     def __post_init__(self):
-        if self.impact <= 0:
-            raise ValueError("impact must be positive")
+        if isinstance(self.impact, bool) or not isinstance(self.impact, numbers.Real) \
+                or not 0 < self.impact < math.inf:
+            raise ValueError(f"impact must be a finite number > 0, got {self.impact!r}")
+        if not isinstance(self.literal_iv, bool):
+            raise ValueError(f"literal_iv must be true or false, got {self.literal_iv!r}")
 
 
 @dataclass
@@ -60,8 +65,8 @@ class EnvConfig:
     risk_mode: str = RISK_RESIDUAL
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be positive")
+        if type(self.horizon) is not int or self.horizon < 1:
+            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
         if self.risk_mode not in (RISK_RESIDUAL, RISK_ACTION_AWARE, RISK_INACTIVE):
             raise ValueError(f"unknown risk_mode {self.risk_mode!r}")
 

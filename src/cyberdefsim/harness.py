@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -38,7 +37,6 @@ from .neural_net import net_from_dict, net_to_dict
 ALGORITHMS = ("dqn", "a2c", "a3c", "ppo")
 METRICS_COLUMNS = ("seed", "batch", "episodes", "wins", "dwr", "mean_return",
                    "mean_len")
-SWEEP_WORKERS = 2
 
 
 class ConfigError(ValueError):
@@ -453,10 +451,9 @@ def final_dwr(metrics_path, last_n: int = 5) -> float:
 
 
 def sweep(config: ExperimentConfig, axis: str, values) -> dict:
-    """Train once per axis value; rank by final-5-batch mean DWR.
+    """Train once per axis value, one after another, into `<axis>-<value>`
+    under output_dir; rank by final-5-batch mean DWR.
 
-    Runs are launched on a pool of SWEEP_WORKERS threads; each writes to its
-    own subdirectory, so the schedule cannot affect the outputs.
     Returns {"axis", "results": [(value, run_dir, final_dwr)], "winner"}.
     """
     if axis not in ("gamma", "alpha"):
@@ -474,8 +471,7 @@ def sweep(config: ExperimentConfig, axis: str, values) -> dict:
         )
         for value in values
     ]
-    with ThreadPoolExecutor(max_workers=SWEEP_WORKERS) as pool:
-        run_dirs = list(pool.map(train, subs))
+    run_dirs = [train(sub) for sub in subs]
     results = [
         (value, str(run_dir), final_dwr(run_dir / "metrics.csv"))
         for value, run_dir in zip(values, run_dirs)

@@ -54,8 +54,9 @@ def test_hyperparams_validation():
         HyperParams(eps_final=0.5, eps_initial=0.1)
     with pytest.raises(ValueError):
         HyperParams(rollout_fragment=0)
-    for name in ("entropy_coef", "ppo_clip", "grad_clip"):
-        for bad in ("x", True, None):
+    for name in ("gamma", "alpha", "eps_initial", "eps_final",
+                 "entropy_coef", "ppo_clip", "grad_clip"):
+        for bad in ("x", True, None, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=name):
                 HyperParams(**{name: bad})
     assert HyperParams().with_overrides(gamma=0.9).gamma == 0.9

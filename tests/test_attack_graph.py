@@ -42,9 +42,12 @@ def test_default_graph_shape(graph):
 
 
 def test_dense_indexing_bijection(graph):
+    states = [graph.initiated,
+              *(graph.state_of(t) for t in sorted(graph.techniques)),
+              graph.terminated]
+    assert len(states) == graph.state_count
     seen = set()
-    for i in range(graph.state_count):
-        state = graph.state_at_index(i)
+    for i, state in enumerate(states):
         assert state.index == i
         seen.add((state.kind, state.technique_id))
     assert len(seen) == graph.state_count

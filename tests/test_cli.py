@@ -106,6 +106,10 @@ def assert_one_error_line(result):
     assert len(result.output.splitlines()) == 1
 
 
+# the short recipe, so that a document the parser accepts trains briefly
+SHORT = {"epochs": 1, "steps_per_epoch": 500}
+
+
 @pytest.mark.parametrize("doc", [
     {"hyperparams": {"epochz": 1}},
     {"hyperparams": {"epochs": "many"}},
@@ -120,6 +124,13 @@ def assert_one_error_line(result):
     {"hyperparams": {"grad_clip": "x"}},
     {"algorithm": "a2c", "hyperparams": {"entropy_coef": "x"}},
     {"algorithm": "ppo", "hyperparams": {"ppo_clip": "x"}},
+    {"horizon": 2.5, "hyperparams": SHORT},
+    {"horizon": True, "hyperparams": SHORT},
+    {"impact": True, "hyperparams": SHORT},
+    {"impact": float("nan"), "hyperparams": SHORT},
+    {"literal_iv": "x", "hyperparams": SHORT},
+    {"hyperparams": {**SHORT, "eps_final": float("nan")}},
+    {"hyperparams": {**SHORT, "alpha": float("nan")}},
 ])
 def test_train_rejects_bad_config_in_one_line(runner, tmp_path, doc):
     config = tmp_path / "config.json"
@@ -179,6 +190,54 @@ def test_validate_bad_catalog_names_the_file(runner, tmp_path):
     result = runner.invoke(main, ["validate", "--catalog", str(catalog)])
     assert_one_error_line(result)
     assert str(catalog) in result.output
+
+
+def test_validate_bad_graph_names_the_file(runner, tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text("{")
+    result = runner.invoke(main, ["validate", "--graph", str(graph)])
+    assert_one_error_line(result)
+    assert str(graph) in result.output
+
+
+def test_train_into_a_file_names_it(runner, tmp_path):
+    blocker = tmp_path / "afile"
+    blocker.touch()
+    config = write_config(tmp_path, output_dir=str(blocker))
+    result = runner.invoke(main, ["train", "--config", str(config)])
+    assert_one_error_line(result)
+    assert str(blocker) in result.output
+
+
+def test_train_graph_directory_names_it(runner, tmp_path):
+    graph = tmp_path / "graphdir"
+    graph.mkdir()
+    config = write_config(tmp_path, graph=str(graph))
+    result = runner.invoke(main, ["train", "--config", str(config)])
+    assert_one_error_line(result)
+    assert str(graph) in result.output
+
+
+def test_eval_unwritable_out_names_it(runner, tmp_path):
+    ckpt = tmp_path / "ckpt.json"
+    write_checkpoint(ckpt)
+    out = tmp_path / "nodir" / "x.csv"
+    result = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--config",
+                                  str(write_config(tmp_path)), "--episodes", "3",
+                                  "--out", str(out)])
+    assert_one_error_line(result)
+    assert str(out) in result.output
+
+
+def test_sweep_under_a_file_names_it(runner, tmp_path):
+    blocker = tmp_path / "afile"
+    blocker.touch()
+    root = blocker / "sweep"
+    config = write_config(tmp_path, output_dir=str(root))
+    result = runner.invoke(main, ["sweep", "--config", str(config),
+                                  "--axis", "gamma=0.7,0.9"])
+    assert_one_error_line(result)
+    assert str(root) in result.output
 
 
 def json_paths(doc, path=()):

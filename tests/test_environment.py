@@ -150,8 +150,11 @@ def test_reward_validation():
         reward_of_transition(model, 1.5, ONGOING, 0.0)
     with pytest.raises(ValueError):
         reward_of_transition(model, 0.5, ONGOING, -1.0)
-    with pytest.raises(ValueError):
-        RewardModel(impact=0.0)
+    for bad in (0.0, True, float("nan"), float("inf"), "x"):
+        with pytest.raises(ValueError, match="impact"):
+            RewardModel(impact=bad)
+    with pytest.raises(ValueError, match="literal_iv"):
+        RewardModel(literal_iv="x")
 
 
 # -- observation channel -----------------------------------------------------------
@@ -338,9 +341,10 @@ def test_scripted_best_return_positive(graph, catalog):
 
 
 def test_env_config_validation(graph, catalog):
-    with pytest.raises(ValueError):
-        EnvConfig(graph=graph, catalog=catalog,
-                  profile=profile_by_name("Av1"), horizon=0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="horizon"):
+            EnvConfig(graph=graph, catalog=catalog,
+                      profile=profile_by_name("Av1"), horizon=bad)
     with pytest.raises(ValueError):
         EnvConfig(graph=graph, catalog=catalog,
                   profile=profile_by_name("Av1"), risk_mode="bogus")

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cyberdefsim import harness
 from cyberdefsim.agents.common import HyperParams
 from cyberdefsim.harness import (
     ALGORITHMS,
@@ -269,3 +270,24 @@ def test_sweep_ranks_by_final_dwr(tmp_path):
         sweep(cfg, "tau", [1, 2])
     with pytest.raises(ConfigError):
         sweep(cfg, "gamma", [])
+
+
+def test_sweep_trains_one_value_at_a_time(tmp_path, monkeypatch):
+    running = most = 0
+    real_train = harness.train
+
+    def counting_train(config):
+        nonlocal running, most
+        running += 1
+        most = max(most, running)
+        try:
+            return real_train(config)
+        finally:
+            running -= 1
+
+    monkeypatch.setattr(harness, "train", counting_train)
+    # a repeated value trains twice into one subdirectory
+    result = sweep(tiny_config(tmp_path, output_dir=str(tmp_path / "sweep")),
+                   "gamma", [0.8, 0.8])
+    assert most == 1
+    assert [v for v, _, _ in result["results"]] == [0.8, 0.8]
