@@ -69,24 +69,36 @@ def epsilon(step: int, hp: HyperParams) -> float:
 
 
 class ReplayBuffer:
-    """Ring buffer of transitions with uniform sampling."""
+    """Ring of transitions in column arrays, with uniform sampling.
+
+    Observations are stored as row ids: `_row_ids` maps the float64 bytes of
+    every distinct observation pushed to its row (the simulator emits 17)."""
 
     def __init__(self, capacity: int, rng):
         self.capacity = capacity
         self.rng = rng
-        self._data: list = []
+        self._obs = np.empty(capacity, dtype=np.intp)
+        self._actions = np.empty(capacity, dtype=np.int64)
+        self._rewards = np.empty(capacity)
+        self._next_obs = np.empty(capacity, dtype=np.intp)
+        self._dones = np.empty(capacity, dtype=bool)
+        self._row_ids: dict[bytes, int] = {}
+        self._size = 0
         self._pos = 0
 
+    def _intern(self, obs) -> int:
+        key = np.asarray(obs, dtype=float).tobytes()
+        return self._row_ids.setdefault(key, len(self._row_ids))
+
     def push(self, obs, action, reward, next_obs, done):
-        item = (obs, int(action), float(reward), next_obs, bool(done))
-        if len(self._data) < self.capacity:
-            self._data.append(item)
-        else:
-            self._data[self._pos] = item
-            self._pos = (self._pos + 1) % self.capacity
+        i = self._pos
+        self._obs[i], self._next_obs[i] = self._intern(obs), self._intern(next_obs)
+        self._actions[i], self._rewards[i], self._dones[i] = action, reward, done
+        self._pos = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def __len__(self):
-        return len(self._data)
+        return self._size
 
     def sample(self, batch_size: int):
         """Uniform one-step draw: (obs, actions, rewards, next_obs, dones)."""
@@ -103,34 +115,32 @@ class ReplayBuffer:
         last transition's next_obs and done, and gamma**k for a k-step
         window. With n_steps=1 these are the stored transitions themselves.
         """
-        data = self._data
-        size = len(data)
+        size = self._size
         if size < batch_size:
             raise ValueError("buffer smaller than batch size")
-        starts = self.rng.integers(size, size=batch_size).tolist()
+        starts = self.rng.integers(size, size=batch_size)
         newest = (self._pos - 1) % size
-        lasts, returns, discounts = [], [], []
-        for j in starts:
-            last = data[j]
-            g, discount = last[2], gamma
-            for _ in range(n_steps - 1):
-                if last[4] or j == newest:
-                    break
-                j = (j + 1) % size
-                last = data[j]
-                g += discount * last[2]
-                discount *= gamma
-            lasts.append(last)
-            returns.append(g)
-            discounts.append(discount)
-        firsts = [data[j] for j in starts]
+        window = (starts[:, None] + np.arange(n_steps)) % size
+        # step k is taken while no earlier step was done or the newest entry
+        ends = self._dones[window] | (window == newest)
+        taken = ~np.logical_or.accumulate(ends[:, :-1], axis=1)
+        rewards = self._rewards[window]
+        returns, discounts = rewards[:, 0], [gamma]
+        for k in range(1, n_steps):
+            returns = np.where(taken[:, k - 1],
+                               returns + discounts[-1] * rewards[:, k], returns)
+            discounts.append(discounts[-1] * gamma)
+        extra = taken.sum(axis=1)
+        lasts = window[np.arange(batch_size), extra]
+        rows = b"".join(self._row_ids)
+        table = np.frombuffer(rows).reshape(len(self._row_ids), -1)
         return (
-            np.stack([t[0] for t in firsts]),
-            np.asarray([t[1] for t in firsts]),
-            np.asarray(returns),
-            np.stack([t[3] for t in lasts]),
-            np.asarray([t[4] for t in lasts]),
-            np.asarray(discounts),
+            table[self._obs[starts]],
+            self._actions[starts],
+            returns,
+            table[self._next_obs[lasts]],
+            self._dones[lasts],
+            np.asarray(discounts)[extra],
         )
 
 

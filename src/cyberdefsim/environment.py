@@ -162,6 +162,7 @@ class CyberDefenseEnv:
         # strongest block the catalog can field against each technique,
         # for the residual risk term
         self._best_block = best_block_table(self.catalog, self.graph)
+        self._valid_paths: set[AttackPath] = set()
 
     @property
     def observation_dim(self) -> int:
@@ -172,7 +173,9 @@ class CyberDefenseEnv:
         return len(self.catalog)
 
     def reset(self, path: AttackPath) -> np.ndarray:
-        self.graph.validate_path(path)
+        if path not in self._valid_paths:
+            self.graph.validate_path(path)
+            self._valid_paths.add(path)
         self._path = path
         self._position = self.graph.initiated
         self._cursor = 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -178,15 +179,9 @@ class BatchRecorder:
 
 
 def _format_row(row: dict) -> list[str]:
-    return [
-        str(row["seed"]),
-        str(row["batch"]),
-        str(row["episodes"]),
-        str(row["wins"]),
-        f"{row['dwr']:.6f}",
-        f"{row['mean_return']:.6f}",
-        f"{row['mean_len']:.6f}",
-    ]
+    """Counts as integers, then dwr, mean_return and mean_len to 6 places."""
+    return ([str(row[k]) for k in METRICS_COLUMNS[:4]]
+            + [f"{row[k]:.6f}" for k in METRICS_COLUMNS[4:]])
 
 
 def _build_runners(config: ExperimentConfig, graph, catalog, hp, train_paths,
@@ -210,13 +205,10 @@ def make_trainer(algorithm: str, runners, hp: HyperParams, seed):
             runners[0].env.observation_dim, runners[0].env.action_count, hp, seed
         )
         return DqnTrainer(runners[0], agent)
-    if algorithm == "a2c":
-        return A2CTrainer(runners, hp, seed)
-    if algorithm == "a3c":
-        return A3CTrainer(runners, hp, seed)
-    if algorithm == "ppo":
-        return PPOTrainer(runners, hp, seed)
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+    trainers = {"a2c": A2CTrainer, "a3c": A3CTrainer, "ppo": PPOTrainer}
+    if algorithm not in trainers:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    return trainers[algorithm](runners, hp, seed)
 
 
 def _trainer_networks(algorithm: str, trainer) -> dict:
@@ -385,26 +377,18 @@ def _evaluate(make_policy, config: ExperimentConfig, test_paths, episodes,
     while len(returns) < episodes:
         runner.step(policy(runner.obs, rng))
 
-    hist_counts: dict[int, int] = {}
-    for d in stop_depths:
-        hist_counts[d] = hist_counts.get(d, 0) + 1
-    histogram = {d: c / episodes for d, c in sorted(hist_counts.items())}
+    histogram = {d: c / episodes for d, c in sorted(Counter(stop_depths).items())}
     cum_t3 = sum(f for d, f in histogram.items() if d <= 3)
     cum_t6 = sum(f for d, f in histogram.items() if d <= 6)
     mean_return = float(np.mean(returns))
     profile, model = env_cfg.profile, env_cfg.reward_model
-    if config.risk_mode == RISK_RESIDUAL:
-        best_block = best_block_table(catalog, graph)
-        best = float(np.mean([
-            scripted_best_return(
-                p, profile, model,
-                residual_rho=(1.0 - best_block[p.steps[0]]) * profile.rho,
-            )
-            for p in test_paths
-        ]))
-    else:
-        best = float(np.mean([scripted_best_return(p, profile, model)
-                              for p in test_paths]))
+    best_block = best_block_table(catalog, graph)
+    residual = config.risk_mode == RISK_RESIDUAL
+    best = float(np.mean([
+        scripted_best_return(p, profile, model, residual_rho=(
+            (1.0 - best_block[p.steps[0]]) * profile.rho if residual else 0.0))
+        for p in test_paths
+    ]))
     return EvalReport(
         episodes=episodes,
         dwr=sum(wins) / episodes,

@@ -97,9 +97,10 @@ def forward(net: Mlp, x: np.ndarray):
     last = len(net.weights) - 1
     logits = None
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
+        z = h @ w
+        z += b
         if i < last:
-            h = np.tanh(z)
+            h = np.tanh(z, out=z)
             activations.append(h)
         else:
             logits = z
@@ -150,18 +151,20 @@ def backward(net: Mlp, cache, grad_out: np.ndarray,
         d_weights[i] = h_in.T @ g
         d_biases[i] = g.sum(axis=0)
         if i > 0:
-            g = (g @ net.weights[i].T) * (1.0 - activations[i] ** 2)
+            g = g @ net.weights[i].T
+            g *= 1.0 - activations[i] ** 2
     return GradientSet(d_weights, d_biases)
 
 
 @dataclass
 class OptimizerState:
-    """Adam state; moments are allocated on the first step."""
+    """Adam state; moments and scratch are allocated on the first step."""
 
     lr: float = 0.005
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
+    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -177,7 +180,10 @@ def _flat_grads(grads: GradientSet):
 
 
 def apply_update(net: Mlp, opt: OptimizerState, grads: GradientSet) -> None:
-    """One Adam descent step in place; clears the net's forward_row memo."""
+    """One Adam descent step in place; clears the net's forward_row memo.
+
+    Consumes `grads` (overwrites their arrays). A DivergenceError writes nothing.
+    """
     params = _flat_params(net)
     gs = _flat_grads(grads)
     for p, g in zip(params, gs):
@@ -188,15 +194,28 @@ def apply_update(net: Mlp, opt: OptimizerState, grads: GradientSet) -> None:
     if not opt.m:
         opt.m = [np.zeros_like(p) for p in params]
         opt.v = [np.zeros_like(p) for p in params]
+        opt.scratch = np.empty(max(p.size for p in params))
     opt.step += 1
     b1c = 1.0 - BETA1 ** opt.step
     b2c = 1.0 - BETA2 ** opt.step
+    # p -= lr * (m / b1c) / (sqrt(v / b2c) + EPS), one ufunc at a time, with
+    # the spent gradient as the denominator's buffer
     for p, g, m, v in zip(params, gs, opt.m, opt.v):
+        s = opt.scratch[:p.size].reshape(p.shape)
         m *= BETA1
-        m += (1 - BETA1) * g
+        np.multiply(1 - BETA1, g, out=s)
+        m += s
         v *= BETA2
-        v += (1 - BETA2) * g * g
-        p -= opt.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
+        np.multiply(1 - BETA2, g, out=s)
+        s *= g
+        v += s
+        np.divide(v, b2c, out=g)
+        np.sqrt(g, out=g)
+        g += EPS
+        np.divide(m, b1c, out=s)
+        np.multiply(opt.lr, s, out=s)
+        s /= g
+        p -= s
     net.memo.clear()
 
 

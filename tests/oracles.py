@@ -172,6 +172,61 @@ def ppo_loss(probs, actions, advantages, old_logp, clip: float,
     return float(-np.mean(surrogate) - entropy_coef * np.mean(entropy))
 
 
+# -- n-step replay windows, one transition at a time ---------------------------
+
+
+class ScalarReplay:
+    """List-of-tuples ring with a per-sample window walk.
+
+    Draws `starts` with the same single rng call as the package's buffer, then
+    walks each window in Python floats: it runs forward in push order and ends
+    after the first done transition or at the newest entry.
+    """
+
+    def __init__(self, capacity: int, rng):
+        self.capacity = capacity
+        self.rng = rng
+        self._data: list = []
+        self._pos = 0
+
+    def push(self, obs, action, reward, next_obs, done):
+        item = (obs, int(action), float(reward), next_obs, bool(done))
+        if len(self._data) < self.capacity:
+            self._data.append(item)
+        else:
+            self._data[self._pos] = item
+            self._pos = (self._pos + 1) % self.capacity
+
+    def sample_n_step(self, batch_size: int, n_steps: int, gamma: float):
+        data = self._data
+        size = len(data)
+        starts = self.rng.integers(size, size=batch_size).tolist()
+        newest = (self._pos - 1) % size
+        lasts, returns, discounts = [], [], []
+        for j in starts:
+            last = data[j]
+            g, discount = last[2], gamma
+            for _ in range(n_steps - 1):
+                if last[4] or j == newest:
+                    break
+                j = (j + 1) % size
+                last = data[j]
+                g += discount * last[2]
+                discount *= gamma
+            lasts.append(last)
+            returns.append(g)
+            discounts.append(discount)
+        firsts = [data[j] for j in starts]
+        return (
+            np.stack([t[0] for t in firsts]),
+            np.asarray([t[1] for t in firsts]),
+            np.asarray(returns),
+            np.stack([t[3] for t in lasts]),
+            np.asarray([t[4] for t in lasts]),
+            np.asarray(discounts),
+        )
+
+
 # -- two-state reference MDP and value iteration -------------------------------
 
 

@@ -234,6 +234,37 @@ def test_n_step_return_and_discount_for_k_steps():
         assert last_next == k and not done
 
 
+@pytest.mark.parametrize("capacity,pushes", [(37, 100), (64, 30)])
+def test_n_step_windows_match_the_scalar_oracle(capacity, pushes):
+    """Every output bit-equal to the per-sample walk, signs of zeros included,
+    on a wrapped and on a partly filled ring."""
+    gamma = 0.8
+    rng = np.random.default_rng(capacity)
+    eye = np.eye(17)
+    buf = ReplayBuffer(capacity, np.random.default_rng(5))
+    ref = oracles.ScalarReplay(capacity, np.random.default_rng(5))
+    cuts = {"done": 0, "newest": 0}
+    for t in range(pushes):
+        reward = (-0.0, 0.0, -0.0 * rng.normal(), rng.normal())[t % 4]
+        item = (eye[rng.integers(17)], int(rng.integers(23)), reward,
+                eye[rng.integers(17)], bool(rng.random() < 0.15))
+        buf.push(*item)
+        ref.push(*item)
+        if len(buf) < 8:
+            continue
+        for n_steps in range(1, 14):
+            got = buf.sample_n_step(8, n_steps, gamma)
+            want = ref.sample_n_step(8, n_steps, gamma)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
+            short = want[5] > 1.001 * gamma ** n_steps  # fewer than n_steps
+            cuts["done"] += int(np.sum(short & want[4]))
+            cuts["newest"] += int(np.sum(short & ~want[4]))
+    assert len(buf) == min(capacity, pushes)
+    assert cuts["done"] > 0 and cuts["newest"] > 0
+
+
 def test_one_step_window_matches_dqn_targets():
     rng = np.random.default_rng(4)
     items = [(rng.normal(size=3), int(rng.integers(2)), float(rng.normal()),

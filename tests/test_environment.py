@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cyberdefsim.adversary import AdversaryProfile, profile_by_name
-from cyberdefsim.attack_graph import AttackPath, load_graph
+from cyberdefsim.attack_graph import AttackPath, GraphError, load_graph
 from cyberdefsim.defense import load_catalog
 from cyberdefsim.environment import (
     ADVERSARY_WIN,
@@ -190,6 +190,23 @@ def test_reset_returns_exact_initiated(graph, catalog):
     path = graph.enumerate_paths()[0]
     obs = env.reset(path)
     assert np.array_equal(obs, one_hot(0, graph.state_count))
+
+
+def test_reset_validates_each_distinct_path_once(graph, catalog, monkeypatch):
+    env = make_env(graph, catalog)
+    checked = []
+    real_validate = graph.validate_path
+    monkeypatch.setattr(graph, "validate_path",
+                        lambda path: checked.append(path) or real_validate(path))
+    first, second = graph.enumerate_paths()[:2]
+    for path in (first, second, first, AttackPath(first.steps), second):
+        env.reset(path)
+    assert checked == [first, second]
+    bad = AttackPath(first.steps[:-1])  # does not end at a goal
+    for _ in range(2):
+        with pytest.raises(GraphError):
+            env.reset(bad)
+    assert checked == [first, second, bad, bad]
 
 
 def test_step_before_reset_and_after_done(graph, catalog):

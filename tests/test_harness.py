@@ -243,6 +243,41 @@ def test_baseline_reports_are_pinned(tmp_path, kind, profile):
     assert digest == PINNED_BASELINES[kind, profile]
 
 
+# sha256 of metrics.csv and checkpoint-seed0.json for a short Av3 run per
+# algorithm. Epsilon decays within the first epoch and the replay ring wraps,
+# so DQN exploits, updates and samples across the ring's seam; any change to
+# the learners' float operations, their order, or the draws moves these.
+PINNED_TRAINING = {
+    ("dqn", "metrics.csv"):
+        "4097a2b320ab46cc3bd959dd699b51fb48febb3730a1a340c69c45f71e1ff95d",
+    ("dqn", "checkpoint-seed0.json"):
+        "d2d383a1564c45a863d72fef58d62dbc762f006babf6ebc746cff0bea6b9cb08",
+    ("a2c", "metrics.csv"):
+        "4b1062f5b141284e3fd2600d27256aa0ba670155204e8e33b127a86c0f341c61",
+    ("a2c", "checkpoint-seed0.json"):
+        "04c12fe53ef5feea9f0c048ff9e4d34825358e621b444565adef9f9b3cdb460d",
+    ("a3c", "metrics.csv"):
+        "2c13d9366bf2329c122aaf9938f475aec43b25230db9b9b525b1e266ac66603a",
+    ("a3c", "checkpoint-seed0.json"):
+        "3a4e8bf8974ba7b0be3ed4929012dbac43681f985a2cf453ea4359f8dae1f460",
+    ("ppo", "metrics.csv"):
+        "63864a8346e8dfcd1f78a0d3f5d26fffc4caa1acd9e81df6b277a3382862b3ba",
+    ("ppo", "checkpoint-seed0.json"):
+        "8092ce2651f16776506f5b921e0478f5df39e1f6f93dacbf2aac40c702b5d4c4",
+}
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_training_artifacts_are_pinned(tmp_path, algo):
+    hp = {"epochs": 2, "steps_per_epoch": 600, "eps_decay_steps": 300,
+          "replay_capacity": 500, "num_workers": 2}
+    cfg = tiny_config(tmp_path, algorithm=algo, profile="Av3", hyperparams=hp)
+    run_dir = train(cfg)
+    for name in ("metrics.csv", "checkpoint-seed0.json"):
+        digest = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+        assert digest == PINNED_TRAINING[algo, name], name
+
+
 def test_algorithms_tuple():
     assert ALGORITHMS == ("dqn", "a2c", "a3c", "ppo")
 

@@ -85,6 +85,58 @@ def test_adam_update_moves_parameters():
     )
 
 
+def textbook_adam(params, grads, m, v, step, lr):
+    """Allocating Adam (Kingma & Ba 2015, Algorithm 1) on copies."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m = [b1 * mi + (1 - b1) * g for mi, g in zip(m, grads)]
+    v = [b2 * vi + (1 - b2) * g * g for vi, g in zip(v, grads)]
+    params = [p - lr * (mi / (1.0 - b1 ** step))
+              / (np.sqrt(vi / (1.0 - b2 ** step)) + eps)
+              for p, mi, vi in zip(params, m, v)]
+    return params, m, v
+
+
+def test_adam_is_bit_equal_to_the_textbook_step():
+    net = init_mlp([5, 7, 3], LINEAR, 2)
+    opt = OptimizerState(lr=0.01)
+    rng = np.random.default_rng(3)
+    params = [p.copy() for p in net.weights + net.biases]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for step in range(1, 8):
+        grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 3)
+                 for p in params]
+        params, m, v = textbook_adam(params, grads, m, v, step, opt.lr)
+        n = len(net.weights)
+        apply_update(net, opt, GradientSet([g.copy() for g in grads[:n]],
+                                           [g.copy() for g in grads[n:]]))
+        assert opt.step == step
+        for got, want in zip(net.weights + net.biases + opt.m + opt.v,
+                             params + m + v):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_divergence_in_the_last_gradient_writes_nothing():
+    net = init_mlp([4, 6, 2], LINEAR, 1)
+    opt = OptimizerState(lr=0.01)
+    rng = np.random.default_rng(0)
+
+    def grads():
+        return GradientSet([rng.normal(size=w.shape) for w in net.weights],
+                           [rng.normal(size=b.shape) for b in net.biases])
+
+    for _ in range(3):
+        apply_update(net, opt, grads())
+    before = [a.copy() for a in net.weights + net.biases + opt.m + opt.v]
+    bad = grads()
+    bad.d_biases[-1][-1] = np.nan  # checked last, after every other array
+    with pytest.raises(DivergenceError):
+        apply_update(net, opt, bad)
+    assert opt.step == 3
+    for got, want in zip(net.weights + net.biases + opt.m + opt.v, before):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_non_finite_gradient_raises():
     net = init_mlp([2, 2], LINEAR, 0)
     grads = GradientSet(
