@@ -13,7 +13,9 @@ from ..neural_net import (
     backward,
     clip_gradients,
     forward,
+    forward_row,
     init_mlp,
+    input_rows,
     log_softmax,
 )
 from .common import (HyperParams, advantage, fragment_returns,
@@ -79,7 +81,8 @@ def a2c_gradients(actor: Mlp, critic: Mlp, obs, actions, returns, hp: HyperParam
 
 
 def collect_fragment(runner, actor: Mlp, critic: Mlp, hp: HyperParams, rng):
-    """Roll out rollout_fragment steps; returns arrays plus discounted returns."""
+    """Roll out rollout_fragment steps; returns the observations as input rows,
+    the actions, the discounted returns and the log-probabilities."""
     obs_l, act_l, rew_l, done_l, logp_l = [], [], [], [], []
     for _ in range(hp.rollout_fragment):
         obs = runner.obs
@@ -93,11 +96,11 @@ def collect_fragment(runner, actor: Mlp, critic: Mlp, hp: HyperParams, rng):
     if done_l[-1]:
         bootstrap = 0.0
     else:
-        v, _ = forward(critic, runner.obs)
+        v, _ = forward_row(critic, runner.obs)
         bootstrap = float(v[0])
     returns = fragment_returns(rew_l, done_l, hp.gamma, bootstrap)
     return (
-        np.stack(obs_l),
+        input_rows(actor, obs_l),
         np.asarray(act_l),
         returns,
         np.asarray(logp_l),

@@ -69,10 +69,8 @@ def epsilon(step: int, hp: HyperParams) -> float:
 
 
 class ReplayBuffer:
-    """Ring of transitions in column arrays, with uniform sampling.
-
-    Observations are stored as row ids: `_row_ids` maps the float64 bytes of
-    every distinct observation pushed to its row (the simulator emits 17)."""
+    """Ring of transitions in column arrays, with uniform sampling;
+    observations are state ids."""
 
     def __init__(self, capacity: int, rng):
         self.capacity = capacity
@@ -82,17 +80,12 @@ class ReplayBuffer:
         self._rewards = np.empty(capacity)
         self._next_obs = np.empty(capacity, dtype=np.intp)
         self._dones = np.empty(capacity, dtype=bool)
-        self._row_ids: dict[bytes, int] = {}
         self._size = 0
         self._pos = 0
 
-    def _intern(self, obs) -> int:
-        key = np.asarray(obs, dtype=float).tobytes()
-        return self._row_ids.setdefault(key, len(self._row_ids))
-
     def push(self, obs, action, reward, next_obs, done):
         i = self._pos
-        self._obs[i], self._next_obs[i] = self._intern(obs), self._intern(next_obs)
+        self._obs[i], self._next_obs[i] = obs, next_obs
         self._actions[i], self._rewards[i], self._dones[i] = action, reward, done
         self._pos = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
@@ -132,13 +125,11 @@ class ReplayBuffer:
             discounts.append(discounts[-1] * gamma)
         extra = taken.sum(axis=1)
         lasts = window[np.arange(batch_size), extra]
-        rows = b"".join(self._row_ids)
-        table = np.frombuffer(rows).reshape(len(self._row_ids), -1)
         return (
-            table[self._obs[starts]],
+            self._obs[starts],
             self._actions[starts],
             returns,
-            table[self._next_obs[lasts]],
+            self._next_obs[lasts],
             self._dones[lasts],
             np.asarray(discounts)[extra],
         )

@@ -13,6 +13,7 @@ from ..neural_net import (
     clip_gradients,
     forward,
     init_mlp,
+    input_rows,
 )
 from .common import HyperParams, ReplayBuffer, act_epsilon_greedy, epsilon
 
@@ -78,10 +79,10 @@ def dqn_update(agent: DqnAgent, buffer: ReplayBuffer, hp: HyperParams) -> float:
     obs, actions, returns, next_obs, dones, discounts = buffer.sample_n_step(
         hp.batch_size, hp.rollout_fragment, hp.gamma)
     targets = dqn_targets(
-        agent.qnet, agent.target_net, returns, next_obs, dones,
-        discounts, hp.double_dqn,
+        agent.qnet, agent.target_net, returns,
+        input_rows(agent.qnet, next_obs), dones, discounts, hp.double_dqn,
     )
-    q, cache = forward(agent.qnet, obs)
+    q, cache = forward(agent.qnet, input_rows(agent.qnet, obs))
     taken = q[np.arange(len(actions)), actions]
     err = taken - targets
     loss = float(np.mean(err ** 2))

@@ -1,4 +1,4 @@
-"""Episodic attack/defense simulation with noisy one-hot observations.
+"""Episodic attack/defense simulation with noisy state-index observations.
 
 Per-timestep order: defense block draw, attack skill draw (only when not
 blocked), adversary update, benign-interruption sampling, reward,
@@ -73,7 +73,7 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    observation: np.ndarray
+    observation: int
     reward: float
     done: bool
     info: dict
@@ -116,30 +116,21 @@ def reward_of_transition(model: RewardModel, p_goal: float, outcome: str,
     return -p_goal * model.impact - iv * model.impact - cost
 
 
-def one_hot(index: int, size: int) -> np.ndarray:
-    v = np.zeros(size)
-    v[index] = 1.0
-    return v
-
-
 def observe(true_state: AttackState, profile: AdversaryProfile, rng,
-            graph: AttackGraph) -> np.ndarray:
-    """Noisy one-hot observation of the attack position.
+            graph: AttackGraph) -> int:
+    """Noisy observation of the attack position: a state index.
 
     With probability obs_accuracy the true state is reported; otherwise a
     uniformly random other live state. Terminated is always reported exactly
     so episode boundaries stay unambiguous.
     """
-    n = graph.state_count
-    if true_state.kind == TERMINATED:
-        return one_hot(true_state.index, n)
-    if rng.random() < profile.obs_accuracy:
-        return one_hot(true_state.index, n)
-    # live states are indices 0..n-2; skip the true one
-    idx = int(rng.integers(n - 2))
+    if true_state.kind == TERMINATED or rng.random() < profile.obs_accuracy:
+        return true_state.index
+    # live states are indices 0..state_count-2; skip the true one
+    idx = int(rng.integers(graph.state_count - 2))
     if idx >= true_state.index:
         idx += 1
-    return one_hot(idx, n)
+    return idx
 
 
 class CyberDefenseEnv:
@@ -172,7 +163,7 @@ class CyberDefenseEnv:
     def action_count(self) -> int:
         return len(self.catalog)
 
-    def reset(self, path: AttackPath) -> np.ndarray:
+    def reset(self, path: AttackPath) -> int:
         if path not in self._valid_paths:
             self.graph.validate_path(path)
             self._valid_paths.add(path)
@@ -183,7 +174,7 @@ class CyberDefenseEnv:
         self._t = 0
         self._done = False
         # the pre-attack position is observed exactly
-        return one_hot(self.graph.initiated.index, self.observation_dim)
+        return self.graph.initiated.index
 
     def step(self, action_id: int) -> StepOutcome:
         if self._done:

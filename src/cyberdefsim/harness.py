@@ -256,14 +256,15 @@ def _policy_net(checkpoint: dict):
         "qnet" if checkpoint["algorithm"] == "dqn" else "actor"]
 
 
-def checkpoint_policy(checkpoint: dict, n_actions: int):
-    """Greedy (value) or mode (policy) action rule from a loaded checkpoint."""
-    net = _policy_net(checkpoint)
-    if net.dims[-1] != n_actions:
+def checkpoint_policy(path, obs_dim: int, n_actions: int):
+    """Greedy (value) or mode (policy) action rule from a checkpoint file;
+    its net must take obs_dim-wide input rows to n_actions outputs."""
+    net = _policy_net(load_checkpoint(path))
+    if (net.dims[0], net.dims[-1]) != (obs_dim, n_actions):
         raise ConfigError(
-            f"checkpoint action space {net.dims[-1]} does not match "
-            f"environment ({n_actions})"
-        )
+            f"bad checkpoint {path}: its net maps {net.dims[0]} inputs to "
+            f"{net.dims[-1]} actions, the environment has {obs_dim} "
+            f"observations and {n_actions} actions")
     return argmax_policy(net)
 
 
@@ -353,11 +354,11 @@ class EvalReport:
 
 def _evaluate(make_policy, config: ExperimentConfig, test_paths, episodes,
               seed: int) -> EvalReport:
-    """Roll `episodes` episodes of make_policy(n_actions) on the held-out
-    paths; the policy and the path draws share one stream."""
+    """Roll `episodes` episodes of make_policy(obs_dim, n_actions) on the
+    held-out paths; the policy and the path draws share one stream."""
     graph = config.load_graph()
     catalog = config.load_catalog(graph)
-    policy = make_policy(len(catalog))
+    policy = make_policy(graph.state_count, len(catalog))
     if test_paths is None:
         _, test_paths = split_for_config(config, graph)
     if episodes is None:
@@ -403,7 +404,7 @@ def _evaluate(make_policy, config: ExperimentConfig, test_paths, episodes,
 
 def evaluate_policy(policy, config: ExperimentConfig, test_paths=None,
                     episodes=None, seed: int = 0) -> EvalReport:
-    return _evaluate(lambda _n_actions: policy, config, test_paths, episodes,
+    return _evaluate(lambda *_dims: policy, config, test_paths, episodes,
                      seed)
 
 
@@ -411,14 +412,14 @@ def evaluate(checkpoint_path, config: ExperimentConfig, test_paths=None,
              episodes=None, seed: int = 0) -> EvalReport:
     """Greedy/mode evaluation of a checkpoint on the held-out paths."""
     return _evaluate(
-        lambda n_actions: checkpoint_policy(load_checkpoint(checkpoint_path),
-                                            n_actions),
+        lambda *dims: checkpoint_policy(checkpoint_path, *dims),
         config, test_paths, episodes, seed)
 
 
 def random_baseline(config: ExperimentConfig, episodes=None,
                     seed: int = 0) -> EvalReport:
-    return _evaluate(random_policy, config, None, episodes, seed)
+    return _evaluate(lambda _obs_dim, n_actions: random_policy(n_actions),
+                     config, None, episodes, seed)
 
 
 def final_dwr(metrics_path, last_n: int = 5) -> float:

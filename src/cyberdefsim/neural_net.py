@@ -14,10 +14,6 @@ SOFTMAX = "softmax"
 
 CHECKPOINT_VERSION = "2"
 
-# a net starts its memo over at this many rows; the simulator emits 17
-# distinct observations, so the cap only bounds freely varying inputs
-MEMO_ROWS = 4096
-
 # Adam moment decay rates and denominator guard
 BETA1 = 0.9
 BETA2 = 0.999
@@ -36,7 +32,7 @@ class Mlp:
     head: str
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    # forward_row outputs by observation bytes; valid until apply_update
+    # forward_row outputs by observation id; valid until apply_update
     memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def copy(self) -> "Mlp":
@@ -109,24 +105,26 @@ def forward(net: Mlp, x: np.ndarray):
     return (out[0] if squeeze else out), cache
 
 
-def forward_row(net: Mlp, obs):
-    """(output, logits) for one observation, memoised per parameter version.
+def input_rows(net: Mlp, ids) -> np.ndarray:
+    """The net's float input for observation ids: one one-hot row per id,
+    or a single row for a scalar id."""
+    return np.eye(net.dims[0])[ids]
+
+
+def forward_row(net: Mlp, obs: int):
+    """(output, logits) for one observation id, memoised per parameter version.
 
     Only one-row forwards fill the memo, so a hit is bit-equal to
-    forward(net, obs); a batch forward's rows can differ in the last bits.
-    The arrays are shared between calls and read-only.
+    forward(net, input_rows(net, obs)); a batch forward's rows can differ in
+    the last bits. The arrays are shared between calls and read-only.
     """
-    x = np.asarray(obs, dtype=float)
-    key = x.tobytes()
-    entry = net.memo.get(key)
+    entry = net.memo.get(obs)
     if entry is None:
-        if len(net.memo) >= MEMO_ROWS:
-            net.memo.clear()
-        out, (_, logits, _) = forward(net, x)
+        out, (_, logits, _) = forward(net, input_rows(net, obs))
         entry = (out, logits[0])
         for a in entry:
             a.flags.writeable = False
-        net.memo[key] = entry
+        net.memo[obs] = entry
     return entry
 
 

@@ -285,9 +285,7 @@ class TwoStateMdpEnv:
         self._t = 0
 
     def _obs(self):
-        v = np.zeros(2)
-        v[self._state] = 1.0
-        return v
+        return self._state
 
     def reset(self):
         self._state = int(self.rng.integers(2))

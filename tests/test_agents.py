@@ -24,6 +24,7 @@ from cyberdefsim.agents.common import (
 )
 from cyberdefsim.agents.dqn import DqnAgent, dqn_targets
 from cyberdefsim.agents.ppo import PPOTrainer, ppo_gradients
+from cyberdefsim.harness import ExperimentConfig, evaluate_policy
 from cyberdefsim.neural_net import (
     LINEAR,
     SOFTMAX,
@@ -33,6 +34,7 @@ from cyberdefsim.neural_net import (
     forward,
     forward_row,
     init_mlp,
+    input_rows,
     log_softmax,
 )
 
@@ -73,15 +75,14 @@ def test_epsilon_interpolation():
 
 
 def test_act_epsilon_greedy_scale_invariance():
-    net = init_mlp([3, 4, 5], LINEAR, 0)
+    net = init_mlp([50, 4, 5], LINEAR, 0)
     scaled = net.copy()
     for w in scaled.weights[-1:]:
         w *= 7.5
     for b in scaled.biases[-1:]:
         b *= 7.5
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        obs = np.random.default_rng(_).normal(size=3)
+    for obs in range(50):
         assert act_epsilon_greedy(net, obs, 0.0, rng) == act_epsilon_greedy(
             scaled, obs, 0.0, rng
         )
@@ -91,7 +92,7 @@ def test_act_epsilon_greedy_scale_invariance():
 
 
 def uncached_argmax(net, obs, rng):
-    return int(np.argmax(forward(net, obs)[0]))
+    return int(np.argmax(forward(net, input_rows(net, obs))[0]))
 
 
 def uncached_epsilon_greedy(net, obs, eps, rng):
@@ -101,26 +102,41 @@ def uncached_epsilon_greedy(net, obs, eps, rng):
 
 
 def uncached_sample(actor, obs, rng):
-    probs, cache = forward(actor, obs)
+    probs, cache = forward(actor, input_rows(actor, obs))
     a = int(rng.choice(len(probs), p=probs / probs.sum()))
     return a, float(log_softmax(cache[1][0])[a])
+
+
+def test_input_rows_are_one_hot():
+    net = init_mlp([17, 4, 23], LINEAR, 0)
+
+    def one_hot(i):
+        v = np.zeros(17)
+        v[i] = 1.0
+        return v
+
+    assert input_rows(net, 5).tobytes() == one_hot(5).tobytes()
+    ids = np.arange(17)[::-1]  # as many ids as the width: still 17 rows
+    rows = input_rows(net, ids)
+    assert rows.shape == (17, 17)
+    assert rows.tobytes() == np.stack([one_hot(i) for i in ids]).tobytes()
+    assert input_rows(net, [3, 3]).shape == (2, 17)
 
 
 def test_forward_row_hit_equals_uncached_forward():
     for head in (LINEAR, SOFTMAX):
         net = init_mlp([17, 16, 23], head, 4)
-        obs = np.eye(17)[5]
-        first = forward_row(net, obs)
-        hit = forward_row(net, obs.copy())
+        first = forward_row(net, 5)
+        hit = forward_row(net, np.intp(5))  # a replay id keys the same row
         assert all(h is f for h, f in zip(hit, first))
-        out, (_, logits, _) = forward(net, obs)
+        out, (_, logits, _) = forward(net, input_rows(net, 5))
         assert hit[0].tobytes() == out.tobytes()
         assert hit[1].tobytes() == logits[0].tobytes()
         assert not hit[0].flags.writeable
 
 
 def test_apply_update_clears_the_policy_memo():
-    obs = np.array([1.0, 0.0])
+    obs = 0
     qnet = init_mlp([2, 3], LINEAR, 0)
     actor = init_mlp([2, 3], SOFTMAX, 0)
     helpers = [
@@ -149,7 +165,7 @@ def test_apply_update_clears_the_policy_memo():
 
 def test_copy_starts_with_an_empty_memo():
     net = init_mlp([17, 8, 23], LINEAR, 0)
-    argmax_policy(net)(np.eye(17)[3], None)
+    argmax_policy(net)(3, None)
     assert len(net.memo) == 1
     assert net.copy().memo == {}
     assert "memo" not in repr(net)
@@ -160,13 +176,18 @@ def test_argmax_and_sampling_share_one_memo():
     policy = argmax_policy(actor)
     rng, twin = np.random.default_rng(0), np.random.default_rng(0)
     for i in range(200):
-        obs = np.eye(17)[i * 7 % 5]
+        obs = i * 7 % 5
         if i % 3:
             assert sample_policy_action(actor, obs, rng) == uncached_sample(
                 actor, obs, twin)
         else:
             assert policy(obs, rng) == uncached_argmax(actor, obs, twin)
     assert len(actor.memo) == 5
+    # a full evaluation, the loop `evaluate` runs on a checkpoint's net, keeps
+    # at most one entry per state
+    cfg = ExperimentConfig(profile="Av3")
+    assert evaluate_policy(policy, cfg).episodes == cfg.eval_episodes
+    assert 5 < len(actor.memo) <= cfg.load_graph().state_count
 
 
 # -- replay buffer --------------------------------------------------------------
@@ -175,11 +196,12 @@ def test_argmax_and_sampling_share_one_memo():
 def test_replay_buffer_ring_and_sampling():
     buf = ReplayBuffer(4, np.random.default_rng(0))
     for i in range(6):
-        buf.push(np.array([i]), i, float(i), np.array([i + 1]), False)
+        buf.push(i, i, float(i), i + 1, False)
     assert len(buf) == 4
     obs, actions, rewards, next_obs, dones = buf.sample(4)
     assert set(actions) <= {2, 3, 4, 5}  # oldest entries overwritten
-    assert obs.shape == (4, 1) and rewards.shape == (4,)
+    assert np.array_equal(obs, actions) and np.array_equal(next_obs, obs + 1)
+    assert obs.shape == (4,) and rewards.shape == (4,)
     with pytest.raises(ValueError):
         buf.sample(5)
 
@@ -190,7 +212,7 @@ def _windows_by_start(buf, n_steps, gamma):
     while len(got) < len(buf):
         obs, _, returns, next_obs, dones, discounts = buf.sample_n_step(
             len(buf), n_steps, gamma)
-        got.update((int(o[0]), (r, int(n[0]), bool(d), disc))
+        got.update((int(o), (r, int(n), bool(d), disc))
                    for o, r, n, d, disc in zip(obs, returns, next_obs, dones,
                                                discounts))
     return got
@@ -199,7 +221,7 @@ def _windows_by_start(buf, n_steps, gamma):
 def test_n_step_window_cut_at_done():
     buf = ReplayBuffer(16, np.random.default_rng(0))
     for i in range(6):
-        buf.push(np.array([i]), i, float(i + 1), np.array([i + 1]), i == 2)
+        buf.push(i, i, float(i + 1), i + 1, i == 2)
     got = _windows_by_start(buf, 4, 0.5)
     # windows from 0 and 1 stop after the done transition at 2
     assert got[0] == (1.0 + 0.5 * 2.0 + 0.25 * 3.0, 3, True, 0.5 ** 3)
@@ -212,7 +234,7 @@ def test_n_step_window_cut_at_done():
 def test_n_step_window_cut_at_newest_entry():
     buf = ReplayBuffer(4, np.random.default_rng(0))
     for i in range(6):  # the ring holds 2..5 with 5 newest, stored at slot 1
-        buf.push(np.array([i]), i, 1.0, np.array([i + 1]), False)
+        buf.push(i, i, 1.0, i + 1, False)
     got = _windows_by_start(buf, 3, 0.5)
     assert set(got) == {2, 3, 4, 5}
     assert got[2] == (1.75, 5, False, 0.125)  # full 3-step window
@@ -225,7 +247,7 @@ def test_n_step_return_and_discount_for_k_steps():
     rewards = [3.0, -1.0, 0.5, 2.0, -4.0]
     buf = ReplayBuffer(16, np.random.default_rng(1))
     for i, r in enumerate(rewards):
-        buf.push(np.array([i]), 0, r, np.array([i + 1]), False)
+        buf.push(i, 0, r, i + 1, False)
     for k in range(1, 6):
         ret, last_next, done, disc = _windows_by_start(buf, k, gamma)[0]
         assert ret == pytest.approx(
@@ -240,14 +262,13 @@ def test_n_step_windows_match_the_scalar_oracle(capacity, pushes):
     on a wrapped and on a partly filled ring."""
     gamma = 0.8
     rng = np.random.default_rng(capacity)
-    eye = np.eye(17)
     buf = ReplayBuffer(capacity, np.random.default_rng(5))
     ref = oracles.ScalarReplay(capacity, np.random.default_rng(5))
     cuts = {"done": 0, "newest": 0}
     for t in range(pushes):
         reward = (-0.0, 0.0, -0.0 * rng.normal(), rng.normal())[t % 4]
-        item = (eye[rng.integers(17)], int(rng.integers(23)), reward,
-                eye[rng.integers(17)], bool(rng.random() < 0.15))
+        item = (int(rng.integers(17)), int(rng.integers(23)), reward,
+                int(rng.integers(17)), bool(rng.random() < 0.15))
         buf.push(*item)
         ref.push(*item)
         if len(buf) < 8:
@@ -267,8 +288,8 @@ def test_n_step_windows_match_the_scalar_oracle(capacity, pushes):
 
 def test_one_step_window_matches_dqn_targets():
     rng = np.random.default_rng(4)
-    items = [(rng.normal(size=3), int(rng.integers(2)), float(rng.normal()),
-              rng.normal(size=3), bool(rng.random() < 0.2)) for _ in range(40)]
+    items = [(int(rng.integers(3)), int(rng.integers(2)), float(rng.normal()),
+              int(rng.integers(3)), bool(rng.random() < 0.2)) for _ in range(40)]
     buf = ReplayBuffer(64, np.random.default_rng(7))
     for item in items:
         buf.push(*item)
@@ -285,8 +306,10 @@ def test_one_step_window_matches_dqn_targets():
     qnet = init_mlp([3, 8, 2], LINEAR, 0)
     target = init_mlp([3, 8, 2], LINEAR, 1)
     assert np.array_equal(
-        dqn_targets(qnet, target, rewards, next_obs, dones, 0.9, True),
-        dqn_targets(qnet, target, returns, w_next, w_dones, discounts, True),
+        dqn_targets(qnet, target, rewards, np.eye(3)[next_obs], dones, 0.9,
+                    True),
+        dqn_targets(qnet, target, returns, input_rows(qnet, w_next), w_dones,
+                    discounts, True),
     )
 
 
@@ -347,9 +370,8 @@ def test_double_dqn_uses_online_argmax():
 def test_dqn_agent_update_cadence():
     hp = HyperParams(rollout_fragment=4, batch_size=8, replay_capacity=64)
     agent = DqnAgent(2, 2, hp, 0, hidden=(8,))
-    obs = np.eye(2)
     for step in range(1, 33):
-        agent.observe(obs[0], 0, 0.0, obs[1], False)
+        agent.observe(0, 0, 0.0, 1, False)
     # updates start once the buffer holds a batch, then every 4th step
     assert agent.env_steps == 32
     assert agent.updates == 32 // 4 - 1  # first possible at step 8

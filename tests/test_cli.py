@@ -154,6 +154,11 @@ def with_qnet_weights(doc, mutate):
     return {**doc, "networks": {"qnet": {**qnet, "weights": weights}}}
 
 
+def with_qnet_dims(doc, dims):
+    """doc with its qnet replaced by a fresh net of layer dims `dims`."""
+    return {**doc, "networks": {"qnet": net_to_dict(init_mlp(dims, LINEAR, 0))}}
+
+
 @pytest.mark.parametrize("mutate", [
     lambda doc: [],
     lambda doc: {**doc, "networks": []},
@@ -163,6 +168,9 @@ def with_qnet_weights(doc, mutate):
     lambda doc: with_qnet_weights(doc, lambda text: text[:-1]),
     lambda doc: with_qnet_weights(doc, lambda text: [0.0] * 68),
     lambda doc: with_qnet_weights(doc, lambda text: text[:16]),
+    lambda doc: with_qnet_dims(doc, [15, 4, 23]),
+    lambda doc: with_qnet_dims(doc, [19, 4, 23]),
+    lambda doc: with_qnet_dims(doc, [17, 4, 5]),
 ])
 def test_eval_bad_checkpoint_names_the_file(runner, tmp_path, mutate):
     ckpt = tmp_path / "ckpt.json"

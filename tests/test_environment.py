@@ -21,7 +21,6 @@ from cyberdefsim.environment import (
     best_block_table,
     compute_p_goal,
     observe,
-    one_hot,
     reward_of_transition,
     scripted_best_return,
 )
@@ -164,8 +163,8 @@ def test_observe_terminated_exact(graph):
     profile = profile_by_name("Av3")
     rng = np.random.default_rng(0)
     for _ in range(50):
-        obs = observe(graph.terminated, profile, rng, graph)
-        assert int(np.argmax(obs)) == graph.terminated.index
+        assert observe(graph.terminated, profile, rng, graph) \
+            == graph.terminated.index
 
 
 def test_observe_wrong_reports_are_live_states(graph):
@@ -174,7 +173,8 @@ def test_observe_wrong_reports_are_live_states(graph):
     state = graph.state_of(5)
     seen_wrong = set()
     for _ in range(3000):
-        idx = int(np.argmax(observe(state, profile, rng, graph)))
+        idx = observe(state, profile, rng, graph)
+        assert type(idx) is int
         if idx != state.index:
             seen_wrong.add(idx)
     assert graph.terminated.index not in seen_wrong
@@ -189,7 +189,7 @@ def test_reset_returns_exact_initiated(graph, catalog):
     env = make_env(graph, catalog)
     path = graph.enumerate_paths()[0]
     obs = env.reset(path)
-    assert np.array_equal(obs, one_hot(0, graph.state_count))
+    assert type(obs) is int and obs == graph.initiated.index == 0
 
 
 def test_reset_validates_each_distinct_path_once(graph, catalog, monkeypatch):
@@ -276,10 +276,10 @@ def test_seeded_episode_determinism(graph, catalog):
     traces = []
     for _ in range(2):
         env = make_env(graph, catalog, seed=42)
-        trace = [env.reset(path).tolist()]
+        trace = [env.reset(path)]
         while True:
             result = env.step(2)
-            trace.append((result.observation.tolist(), result.reward,
+            trace.append((result.observation, result.reward,
                           result.done, result.info))
             if result.done:
                 break

@@ -142,12 +142,11 @@ def test_checkpoint_roundtrip_and_policy(tmp_path):
     save_checkpoint(path, "dqn", HyperParams(), 123, {"qnet": net_to_dict(net)})
     doc = load_checkpoint(path)
     assert doc["algorithm"] == "dqn" and doc["training_step"] == 123
-    policy = checkpoint_policy(doc, n_actions=23)
-    obs = np.zeros(17)
-    obs[0] = 1.0
-    assert 0 <= policy(obs, np.random.default_rng(0)) < 23
-    with pytest.raises(ConfigError):
-        checkpoint_policy(doc, n_actions=5)
+    policy = checkpoint_policy(path, obs_dim=17, n_actions=23)
+    assert 0 <= policy(0, np.random.default_rng(0)) < 23
+    for obs_dim, n_actions in ((17, 5), (15, 23), (19, 23)):
+        with pytest.raises(ConfigError, match=str(path)):
+            checkpoint_policy(path, obs_dim, n_actions)
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
@@ -266,6 +265,16 @@ PINNED_TRAINING = {
         "8092ce2651f16776506f5b921e0478f5df39e1f6f93dacbf2aac40c702b5d4c4",
 }
 
+# sha256 of EvalReport.write_csv for 300 episodes at seed 7 of each pinned
+# checkpoint: the greedy or mode policy acts through the trained net's
+# one-row forward, so a change to its input rows or its memo moves these.
+PINNED_CHECKPOINT_EVAL = {
+    "dqn": "7db9ee8ad788f4ba470422d362e28f791515971b1bb9605a594003a114025771",
+    "a2c": "cc4cae7ea819b6bdb29122bf88797280812b0f01180edb21c9234d6201ae41f7",
+    "a3c": "7f095239269de939601d46627cb3e946f562b4e39d4edb1fec16a615c2e11bee",
+    "ppo": "3a8f316bd03fb0575c0b025c1a476e67814f6ba59ed82caaa1ca5530d086103e",
+}
+
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_training_artifacts_are_pinned(tmp_path, algo):
@@ -276,6 +285,11 @@ def test_training_artifacts_are_pinned(tmp_path, algo):
     for name in ("metrics.csv", "checkpoint-seed0.json"):
         digest = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
         assert digest == PINNED_TRAINING[algo, name], name
+    out = tmp_path / "report.csv"
+    evaluate(run_dir / "checkpoint-seed0.json", cfg, episodes=300,
+             seed=7).write_csv(out)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == PINNED_CHECKPOINT_EVAL[algo]
 
 
 def test_algorithms_tuple():
