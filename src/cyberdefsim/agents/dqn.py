@@ -1,4 +1,4 @@
-"""Q-learning agent: replay buffer, target network, optional double-Q targets."""
+"""Q-learning agent: replay buffer, target Q table, optional double-Q targets."""
 
 from __future__ import annotations
 
@@ -6,37 +6,32 @@ import numpy as np
 
 from ..neural_net import (
     LINEAR,
-    Mlp,
     OptimizerState,
     apply_update,
     backward,
     clip_gradients,
-    forward,
+    forward_table,
     init_mlp,
-    input_rows,
 )
 from .common import HyperParams, ReplayBuffer, act_epsilon_greedy, epsilon
 
 
-def dqn_targets(qnet: Mlp, target_net: Mlp, rewards, next_obs, dones,
-                gamma, double: bool) -> np.ndarray:
+def dqn_targets(q_online, q_target, rewards, dones, gamma,
+                double: bool) -> np.ndarray:
     """Bootstrap targets for a batch; terminal transitions take the raw reward.
 
+    `q_online` and `q_target` are the online net's and the target table's Q
+    rows at each sample's next observation; double-Q picks by `q_online`.
     `gamma` is one discount for the batch, or one per sample (gamma**k for
     k-step returns in `rewards`).
     """
-    q_target, _ = forward(target_net, next_obs)
-    if double:
-        q_online, _ = forward(qnet, next_obs)
-        pick = np.argmax(q_online, axis=1)
-    else:
-        pick = np.argmax(q_target, axis=1)
+    pick = np.argmax(q_online if double else q_target, axis=1)
     bootstrap = q_target[np.arange(len(pick)), pick]
     return np.asarray(rewards) + gamma * bootstrap * (~np.asarray(dones))
 
 
 class DqnAgent:
-    """Owns the online/target nets, replay buffer, and update cadence."""
+    """Owns the online net, target Q table, replay buffer and update cadence."""
 
     def __init__(self, obs_dim: int, n_actions: int, hp: HyperParams, seed,
                  hidden=(256, 256)):
@@ -44,7 +39,7 @@ class DqnAgent:
         net_seed, buf_seed, act_seed = seq.spawn(3)
         self.hp = hp
         self.qnet = init_mlp([obs_dim, *hidden, n_actions], LINEAR, net_seed)
-        self.target_net = self.qnet.copy()
+        self.target_q, _ = forward_table(self.qnet)
         self.opt = OptimizerState(lr=hp.alpha)
         self.buffer = ReplayBuffer(hp.replay_capacity, np.random.default_rng(buf_seed))
         self.act_rng = np.random.default_rng(act_seed)
@@ -63,26 +58,24 @@ class DqnAgent:
             self.env_steps % self.hp.rollout_fragment == 0
             and len(self.buffer) >= self.hp.batch_size
         ):
-            return self.update()
+            return dqn_update(self, self.buffer, self.hp)
         return None
-
-    def update(self) -> float:
-        return dqn_update(self, self.buffer, self.hp)
 
 
 def dqn_update(agent: DqnAgent, buffer: ReplayBuffer, hp: HyperParams) -> float:
     """One sampled-batch temporal-difference step; returns the scalar loss.
 
     Targets bootstrap after up to rollout_fragment steps of stored rewards,
-    the horizon the actor-critic learners take their returns over.
+    the horizon the actor-critic learners take their returns over. The
+    batch gathers its rows from one forward_table of the online net.
     """
     obs, actions, returns, next_obs, dones, discounts = buffer.sample_n_step(
         hp.batch_size, hp.rollout_fragment, hp.gamma)
-    targets = dqn_targets(
-        agent.qnet, agent.target_net, returns,
-        input_rows(agent.qnet, next_obs), dones, discounts, hp.double_dqn,
-    )
-    q, cache = forward(agent.qnet, input_rows(agent.qnet, obs))
+    table, (activations, _, _) = forward_table(agent.qnet)
+    targets = dqn_targets(table[next_obs], agent.target_q[next_obs], returns,
+                          dones, discounts, hp.double_dqn)
+    q = table[obs]
+    cache = ([h[obs] for h in activations], q, q)
     taken = q[np.arange(len(actions)), actions]
     err = taken - targets
     loss = float(np.mean(err ** 2))
@@ -93,7 +86,7 @@ def dqn_update(agent: DqnAgent, buffer: ReplayBuffer, hp: HyperParams) -> float:
     apply_update(agent.qnet, agent.opt, grads)
     agent.updates += 1
     if agent.updates % hp.target_sync == 0:
-        agent.target_net = agent.qnet.copy()
+        agent.target_q, _ = forward_table(agent.qnet)
     return loss
 
 

@@ -111,12 +111,19 @@ def input_rows(net: Mlp, ids) -> np.ndarray:
     return np.eye(net.dims[0])[ids]
 
 
+def forward_table(net: Mlp):
+    """forward on one row per observation id. Its rows equal a batch forward's
+    bit for bit, but not a one-row forward's or a one-unit head's (gemv)."""
+    return forward(net, input_rows(net, np.arange(net.dims[0])))
+
+
 def forward_row(net: Mlp, obs: int):
     """(output, logits) for one observation id, memoised per parameter version.
 
     Only one-row forwards fill the memo, so a hit is bit-equal to
-    forward(net, input_rows(net, obs)); a batch forward's rows can differ in
-    the last bits. The arrays are shared between calls and read-only.
+    forward(net, input_rows(net, obs)); a one-row forward runs the BLAS's
+    matrix-vector path, so a batch forward's rows can differ from it in the
+    last bits. The arrays are shared between calls and read-only.
     """
     entry = net.memo.get(obs)
     if entry is None:

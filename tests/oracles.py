@@ -10,6 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cyberdefsim.neural_net import (
+    apply_update,
+    backward,
+    clip_gradients,
+    forward,
+    input_rows,
+)
+
 
 # -- brute-force path enumeration --------------------------------------------
 
@@ -225,6 +233,51 @@ class ScalarReplay:
             np.asarray([t[4] for t in lasts]),
             np.asarray(discounts),
         )
+
+
+# -- DQN update, three batch forwards -------------------------------------------
+
+
+class ReferenceDqn:
+    """The DQN update with a target net: three batch forwards per update.
+
+    The online net runs on `obs` and on `next_obs` (the double-Q pick), the
+    target net on `next_obs`; the target net is a copy of the online net,
+    taken every `target_sync` updates (Mnih et al. 2015; van Hasselt et al.
+    2016). It runs on the package's net substrate and replay buffer, so
+    agreement checks how the package's update gathers its batch, not those.
+    """
+
+    def __init__(self, qnet, opt, buffer, hp):
+        self.qnet, self.opt, self.buffer, self.hp = qnet, opt, buffer, hp
+        self.target_net = qnet.copy()
+        self.updates = 0
+
+    def update(self) -> float:
+        hp, qnet = self.hp, self.qnet
+        obs, actions, returns, next_obs, dones, discounts = (
+            self.buffer.sample_n_step(hp.batch_size, hp.rollout_fragment,
+                                      hp.gamma))
+        next_rows = input_rows(qnet, next_obs)
+        q_target, _ = forward(self.target_net, next_rows)
+        if hp.double_dqn:
+            q_online, _ = forward(qnet, next_rows)
+            pick = np.argmax(q_online, axis=1)
+        else:
+            pick = np.argmax(q_target, axis=1)
+        bootstrap = q_target[np.arange(len(pick)), pick]
+        targets = returns + discounts * bootstrap * ~dones
+        q, cache = forward(qnet, input_rows(qnet, obs))
+        err = q[np.arange(len(actions)), actions] - targets
+        grad_out = np.zeros_like(q)
+        grad_out[np.arange(len(actions)), actions] = 2.0 * err / len(actions)
+        grads = backward(qnet, cache, grad_out)
+        clip_gradients(grads, hp.grad_clip)
+        apply_update(qnet, self.opt, grads)
+        self.updates += 1
+        if self.updates % hp.target_sync == 0:
+            self.target_net = qnet.copy()
+        return float(np.mean(err ** 2))
 
 
 # -- two-state reference MDP and value iteration -------------------------------

@@ -305,10 +305,13 @@ def test_one_step_window_matches_dqn_targets():
     assert np.all(discounts == 0.9)
     qnet = init_mlp([3, 8, 2], LINEAR, 0)
     target = init_mlp([3, 8, 2], LINEAR, 1)
+
+    def q_rows(rows):
+        return forward(qnet, rows)[0], forward(target, rows)[0]
+
     assert np.array_equal(
-        dqn_targets(qnet, target, rewards, np.eye(3)[next_obs], dones, 0.9,
-                    True),
-        dqn_targets(qnet, target, returns, input_rows(qnet, w_next), w_dones,
+        dqn_targets(*q_rows(np.eye(3)[next_obs]), rewards, dones, 0.9, True),
+        dqn_targets(*q_rows(input_rows(qnet, w_next)), returns, w_dones,
                     discounts, True),
     )
 
@@ -345,12 +348,12 @@ def test_dqn_targets_terminal_and_bootstrap():
     target = init_mlp([2, 8, 2], LINEAR, 1)
     next_obs = np.eye(2)
     rewards = np.array([1.0, 2.0])
-    done_targets = dqn_targets(qnet, target, rewards, next_obs,
-                               [True, True], 0.9, double=False)
-    assert np.allclose(done_targets, rewards)
-    boot = dqn_targets(qnet, target, rewards, next_obs,
-                       [False, False], 0.9, double=False)
+    q_o, _ = forward(qnet, next_obs)
     q_t, _ = forward(target, next_obs)
+    done_targets = dqn_targets(q_o, q_t, rewards, [True, True], 0.9,
+                               double=False)
+    assert np.allclose(done_targets, rewards)
+    boot = dqn_targets(q_o, q_t, rewards, [False, False], 0.9, double=False)
     assert np.allclose(boot, rewards + 0.9 * q_t.max(axis=1))
 
 
@@ -362,8 +365,8 @@ def test_double_dqn_uses_online_argmax():
     q_target, _ = forward(target, next_obs)
     pick = np.argmax(q_online, axis=1)
     expected = 1.0 + 0.9 * q_target[np.arange(2), pick]
-    got = dqn_targets(qnet, target, [1.0, 1.0], next_obs,
-                      [False, False], 0.9, double=True)
+    got = dqn_targets(q_online, q_target, [1.0, 1.0], [False, False], 0.9,
+                      double=True)
     assert np.allclose(got, expected)
 
 
@@ -375,6 +378,34 @@ def test_dqn_agent_update_cadence():
     # updates start once the buffer holds a batch, then every 4th step
     assert agent.env_steps == 32
     assert agent.updates == 32 // 4 - 1  # first possible at step 8
+
+
+@pytest.mark.parametrize("double", [True, False])
+def test_dqn_update_matches_the_three_forward_reference(double):
+    """The table-gathered update is bit-equal, step by step and across target
+    syncs, to the update that runs three batch forwards and copies a target
+    net (oracles.ReferenceDqn)."""
+    hp = HyperParams(replay_capacity=300, target_sync=4, double_dqn=double)
+    agent = DqnAgent(17, 23, hp, 3)
+    twin = DqnAgent(17, 23, hp, 3)
+    ref = oracles.ReferenceDqn(twin.qnet, twin.opt, twin.buffer, hp)
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        item = (int(rng.integers(17)), int(rng.integers(23)),
+                float(rng.normal()), int(rng.integers(17)),
+                bool(rng.random() < 0.1))
+        updates = agent.updates
+        loss = agent.observe(*item)
+        ref.buffer.push(*item)
+        if agent.updates == updates:
+            continue
+        assert loss == ref.update()
+        for a, b in zip(
+            agent.qnet.weights + agent.qnet.biases + agent.opt.m + agent.opt.v,
+            ref.qnet.weights + ref.qnet.biases + ref.opt.m + ref.opt.v,
+        ):
+            assert a.tobytes() == b.tobytes()
+    assert agent.updates == ref.updates >= 3 * hp.target_sync
 
 
 def test_dqn_learning_reduces_td_error():

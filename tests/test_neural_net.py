@@ -15,7 +15,9 @@ from cyberdefsim.neural_net import (
     backward,
     clip_gradients,
     forward,
+    forward_table,
     init_mlp,
+    input_rows,
     log_softmax,
     net_from_dict,
     net_to_dict,
@@ -54,6 +56,30 @@ def test_forward_vector_batch_agreement():
     assert np.allclose(batch.sum(axis=1), 1.0)
     with pytest.raises(ValueError):
         forward(net, np.zeros(4))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_table_rows_equal_batch_rows(seed):
+    """Rows gathered from forward_table equal a batch forward's, bit for bit.
+
+    dqn_update gathers its batch from the 17-row table of the DQN net
+    (17-256-256-23), so the training artifacts rest on this property of the
+    BLAS's matrix-matrix product. It is known to fail in two places, where
+    no table may stand in for a forward: a one-row forward (the
+    matrix-vector path; forward_row's memo fills only from those) and a head
+    with one unit, like the critic's, whose last layer is matrix-vector too.
+    """
+    rng = np.random.default_rng(seed)
+    net = init_mlp([17, 256, 256, 23], LINEAR, seed)
+    net.biases = [rng.normal(scale=0.1, size=b.shape) for b in net.biases]
+    table, (table_acts, _, _) = forward_table(net)
+    for batch in (48, 48, 48, 32):
+        ids = rng.integers(17, size=batch)
+        out, (acts, _, _) = forward(net, input_rows(net, ids))
+        assert table[ids].tobytes() == out.tobytes()
+        assert len(acts) == len(table_acts) == 3
+        for a, t in zip(acts, table_acts):
+            assert t[ids].tobytes() == a.tobytes()
 
 
 def test_softmax_stability_and_log_consistency():
