@@ -47,6 +47,8 @@ class HyperParams:
             raise ValueError("alpha must be positive")
         if self.eps_final > self.eps_initial:
             raise ValueError("eps_final must not exceed eps_initial")
+        if not isinstance(self.double_dqn, bool):
+            raise ValueError(f"double_dqn must be true or false, got {self.double_dqn!r}")
         for name in ("eps_decay_steps", "num_workers", "rollout_fragment",
                      "batch_size", "ppo_epochs", "epochs", "steps_per_epoch",
                      "replay_capacity", "target_sync"):

@@ -446,6 +446,8 @@ def sweep(config: ExperimentConfig, axis: str, values) -> dict:
     values = list(values)
     if not values:
         raise ConfigError("empty sweep axis")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"repeated value in sweep axis {axis}={values}")
     root = Path(config.output_dir)
     root.mkdir(parents=True, exist_ok=True)
     subs = [

@@ -24,30 +24,43 @@ class DivergenceError(RuntimeError):
     """Non-finite gradients or parameters: the run has diverged."""
 
 
+def _views(flat: np.ndarray, dims: list[int]) -> tuple[list, list]:
+    """Weight-matrix and bias-vector views of `flat`: all weights, then all biases."""
+    shapes = list(zip(dims, dims[1:]))
+    parts = np.split(flat, np.cumsum([a * b for a, b in shapes] + dims[1:-1]))
+    return [p.reshape(s) for p, s in zip(parts, shapes)], parts[len(shapes):]
+
+
 @dataclass
 class Mlp:
     """Fully connected net; tanh hidden activations, linear or softmax head."""
 
     dims: list[int]
     head: str
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray  # every weight matrix, then every bias vector
     # forward_row outputs by observation id; valid until apply_update
     memo: dict = field(default_factory=dict, repr=False, compare=False)
+    weights: list = field(init=False, repr=False, compare=False)  # views of params
+    biases: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.weights, self.biases = _views(self.params, self.dims)
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            list(self.dims),
-            self.head,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return Mlp(list(self.dims), self.head, self.params.copy())
 
 
 @dataclass
 class GradientSet:
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
+    """Gradients in Mlp.params layout; d_weights and d_biases are views of flat."""
+
+    dims: list[int]
+    flat: np.ndarray
+    d_weights: list = field(init=False, repr=False, compare=False)
+    d_biases: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.d_weights, self.d_biases = _views(self.flat, self.dims)
 
 
 def _check_layout(dims, head: str) -> None:
@@ -61,12 +74,12 @@ def init_mlp(dims, head: str, seed) -> Mlp:
     """Uniform init scaled by 1/sqrt(fan_in); biases zero; seed-deterministic."""
     _check_layout(dims, head)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        scale = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-scale, scale, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(list(dims), head, weights, biases)
+    net = Mlp(list(dims), head,
+              np.zeros(sum((a + 1) * b for a, b in zip(dims, dims[1:]))))
+    for w in net.weights:
+        scale = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-scale, scale, size=w.shape)
+    return net
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -149,26 +162,24 @@ def backward(net: Mlp, cache, grad_out: np.ndarray,
     if net.head == SOFTMAX and not from_logits:
         p = out
         g = p * (g - (g * p).sum(axis=-1, keepdims=True))
-    d_weights = [None] * len(net.weights)
-    d_biases = [None] * len(net.biases)
+    grads = GradientSet(net.dims, np.empty_like(net.params))
     for i in range(len(net.weights) - 1, -1, -1):
-        h_in = activations[i]
-        d_weights[i] = h_in.T @ g
-        d_biases[i] = g.sum(axis=0)
+        np.matmul(activations[i].T, g, out=grads.d_weights[i])
+        g.sum(axis=0, out=grads.d_biases[i])
         if i > 0:
             g = g @ net.weights[i].T
             g *= 1.0 - activations[i] ** 2
-    return GradientSet(d_weights, d_biases)
+    return grads
 
 
 @dataclass
 class OptimizerState:
-    """Adam state; moments and scratch are allocated on the first step."""
+    """Adam state; moments and scratch, flat like Mlp.params, made on the first step."""
 
     lr: float = 0.005
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -176,63 +187,48 @@ class OptimizerState:
             raise ValueError("learning rate must be positive")
 
 
-def _flat_params(net: Mlp):
-    return net.weights + net.biases
-
-
-def _flat_grads(grads: GradientSet):
-    return grads.d_weights + grads.d_biases
-
-
 def apply_update(net: Mlp, opt: OptimizerState, grads: GradientSet) -> None:
     """One Adam descent step in place; clears the net's forward_row memo.
 
-    Consumes `grads` (overwrites their arrays). A DivergenceError writes nothing.
+    Consumes `grads` (overwrites their array). A DivergenceError writes nothing.
     """
-    params = _flat_params(net)
-    gs = _flat_grads(grads)
-    for p, g in zip(params, gs):
-        if p.shape != g.shape:
-            raise ValueError("gradient/parameter shape mismatch")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient")
-    if not opt.m:
-        opt.m = [np.zeros_like(p) for p in params]
-        opt.v = [np.zeros_like(p) for p in params]
-        opt.scratch = np.empty(max(p.size for p in params))
+    p, g = net.params, grads.flat
+    if grads.dims != net.dims or g.shape != p.shape:
+        raise ValueError("gradient/parameter shape mismatch")
+    if not np.all(np.isfinite(g)):
+        raise DivergenceError("non-finite gradient")
+    if opt.m is None:
+        opt.m, opt.v, opt.scratch = np.zeros_like(p), np.zeros_like(p), np.empty_like(p)
     opt.step += 1
     b1c = 1.0 - BETA1 ** opt.step
     b2c = 1.0 - BETA2 ** opt.step
     # p -= lr * (m / b1c) / (sqrt(v / b2c) + EPS), one ufunc at a time, with
     # the spent gradient as the denominator's buffer
-    for p, g, m, v in zip(params, gs, opt.m, opt.v):
-        s = opt.scratch[:p.size].reshape(p.shape)
-        m *= BETA1
-        np.multiply(1 - BETA1, g, out=s)
-        m += s
-        v *= BETA2
-        np.multiply(1 - BETA2, g, out=s)
-        s *= g
-        v += s
-        np.divide(v, b2c, out=g)
-        np.sqrt(g, out=g)
-        g += EPS
-        np.divide(m, b1c, out=s)
-        np.multiply(opt.lr, s, out=s)
-        s /= g
-        p -= s
+    m, v, s = opt.m, opt.v, opt.scratch
+    m *= BETA1
+    np.multiply(1 - BETA1, g, out=s)
+    m += s
+    v *= BETA2
+    np.multiply(1 - BETA2, g, out=s)
+    s *= g
+    v += s
+    np.divide(v, b2c, out=g)
+    np.sqrt(g, out=g)
+    g += EPS
+    np.divide(m, b1c, out=s)
+    np.multiply(opt.lr, s, out=s)
+    s /= g
+    p -= s
     net.memo.clear()
 
 
 def clip_gradients(grads: GradientSet, max_norm: float) -> float:
     """Scale grads in place to a global norm cap; returns the pre-clip norm."""
-    total = float(
-        np.sqrt(sum(float((g ** 2).sum()) for g in _flat_grads(grads)))
-    )
+    # summed view by view: one dot product over the flat array rounds differently
+    total = float(np.sqrt(
+        sum(float((g ** 2).sum()) for g in grads.d_weights + grads.d_biases)))
     if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for g in _flat_grads(grads):
-            g *= scale
+        grads.flat *= max_norm / total
     return total
 
 
@@ -240,8 +236,8 @@ def _encode(a: np.ndarray) -> str:
     return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _decode(text, shape) -> np.ndarray:
-    """A writable float64 array of `shape` from base64 little-endian bytes."""
+def _decode(text, shape) -> bytes:
+    """The little-endian float64 bytes of an array of `shape`, from base64."""
     if not isinstance(text, str):
         raise ValueError(f"array must be a base64 string, not {type(text).__name__}")
     try:
@@ -250,7 +246,7 @@ def _decode(text, shape) -> np.ndarray:
         raise ValueError(f"array is not valid base64: {exc}") from exc
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"array of {len(raw)} bytes does not fit shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+    return raw
 
 
 def net_to_dict(net: Mlp) -> dict:
@@ -272,6 +268,6 @@ def net_from_dict(doc: dict) -> Mlp:
     shapes = list(zip(dims, dims[1:]))
     if len(doc["weights"]) != len(shapes) or len(doc["biases"]) != len(shapes):
         raise ValueError(f"weights and biases do not match layer dims {dims}")
-    weights = [_decode(w, shape) for w, shape in zip(doc["weights"], shapes)]
-    biases = [_decode(b, shape[1:]) for b, shape in zip(doc["biases"], shapes)]
-    return Mlp(dims, doc["head"], weights, biases)
+    raw = b"".join([_decode(w, s) for w, s in zip(doc["weights"], shapes)]
+                   + [_decode(b, s[1:]) for b, s in zip(doc["biases"], shapes)])
+    return Mlp(dims, doc["head"], np.frombuffer(raw, dtype="<f8").astype(float))

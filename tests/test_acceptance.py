@@ -428,8 +428,8 @@ class _RecordingServer(ParameterServer):
     """Parameter server that fingerprints every published version."""
 
     def __init__(self, actor, critic, hp):
+        self.fingerprints = {}
         super().__init__(actor, critic, hp)
-        self.fingerprints = {0: self._fingerprint()}
 
     def _fingerprint(self):
         return (
@@ -437,11 +437,16 @@ class _RecordingServer(ParameterServer):
             float(sum(w.sum() for w in self._critic.weights)),
         )
 
-    def submit(self, actor_grads, critic_grads) -> int:
-        version = super().submit(actor_grads, critic_grads)
-        with self._lock:
-            self.fingerprints[version] = self._fingerprint()
-        return version
+    # ParameterServer sets version under its own lock, so each fingerprint is
+    # recorded in the same hold that publishes its version
+    @property
+    def version(self):
+        return self._version
+
+    @version.setter
+    def version(self, value):
+        self._version = value
+        self.fingerprints[value] = self._fingerprint()
 
 
 def test_criterion_12_async_learner_contract():

@@ -155,7 +155,7 @@ def test_apply_update_clears_the_policy_memo():
         helper(np.random.default_rng(0))
     # one Adam step of size lr moves the biases to [-1, 0, 1]
     for net in (qnet, actor):
-        grads = GradientSet([np.zeros((2, 3))], [np.array([1.0, 0.0, -1.0])])
+        grads = GradientSet([2, 3], np.array([0.0] * 6 + [1.0, 0.0, -1.0]))
         apply_update(net, OptimizerState(lr=1.0), grads)
         assert uncached_argmax(net, obs, None) == 2
     for net, helper, uncached in helpers:
@@ -400,10 +400,8 @@ def test_dqn_update_matches_the_three_forward_reference(double):
         if agent.updates == updates:
             continue
         assert loss == ref.update()
-        for a, b in zip(
-            agent.qnet.weights + agent.qnet.biases + agent.opt.m + agent.opt.v,
-            ref.qnet.weights + ref.qnet.biases + ref.opt.m + ref.opt.v,
-        ):
+        for a, b in ((agent.qnet.params, ref.qnet.params),
+                     (agent.opt.m, ref.opt.m), (agent.opt.v, ref.opt.v)):
             assert a.tobytes() == b.tobytes()
     assert agent.updates == ref.updates >= 3 * hp.target_sync
 

@@ -131,6 +131,7 @@ SHORT = {"epochs": 1, "steps_per_epoch": 500}
     {"literal_iv": "x", "hyperparams": SHORT},
     {"hyperparams": {**SHORT, "eps_final": float("nan")}},
     {"hyperparams": {**SHORT, "alpha": float("nan")}},
+    {"hyperparams": {**SHORT, "double_dqn": "false"}},
 ])
 def test_train_rejects_bad_config_in_one_line(runner, tmp_path, doc):
     config = tmp_path / "config.json"
@@ -348,7 +349,7 @@ def test_sweep_command(runner, tmp_path):
 
 def test_sweep_bad_axis(runner, tmp_path):
     config = write_config(tmp_path)
-    for axis in ("gamma", "gamma=a,b", "tau=1,2"):
+    for axis in ("gamma", "gamma=a,b", "tau=1,2", "gamma=0.7,0.70"):
         result = runner.invoke(main, ["sweep", "--config", str(config),
                                       "--axis", axis])
         assert result.exit_code == 1, axis

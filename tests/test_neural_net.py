@@ -71,7 +71,8 @@ def test_table_rows_equal_batch_rows(seed):
     """
     rng = np.random.default_rng(seed)
     net = init_mlp([17, 256, 256, 23], LINEAR, seed)
-    net.biases = [rng.normal(scale=0.1, size=b.shape) for b in net.biases]
+    for b in net.biases:
+        b[...] = rng.normal(scale=0.1, size=b.shape)
     table, (table_acts, _, _) = forward_table(net)
     for batch in (48, 48, 48, 32):
         ids = rng.integers(17, size=batch)
@@ -100,10 +101,7 @@ def test_backward_shapes_match_parameters():
 def test_adam_update_moves_parameters():
     net = init_mlp([3, 4, 2], LINEAR, 0)
     before = [w.copy() for w in net.weights]
-    grads = GradientSet(
-        [np.full_like(w, 0.5) for w in net.weights],
-        [np.full_like(b, 0.5) for b in net.biases],
-    )
+    grads = GradientSet(net.dims, np.full_like(net.params, 0.5))
     opt = OptimizerState(lr=0.01)
     apply_update(net, opt, grads)
     assert all(
@@ -133,13 +131,11 @@ def test_adam_is_bit_equal_to_the_textbook_step():
         grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 3)
                  for p in params]
         params, m, v = textbook_adam(params, grads, m, v, step, opt.lr)
-        n = len(net.weights)
-        apply_update(net, opt, GradientSet([g.copy() for g in grads[:n]],
-                                           [g.copy() for g in grads[n:]]))
+        apply_update(net, opt, GradientSet(
+            net.dims, np.concatenate([g.ravel() for g in grads])))
         assert opt.step == step
-        for got, want in zip(net.weights + net.biases + opt.m + opt.v,
-                             params + m + v):
-            assert got.tobytes() == want.tobytes()
+        for got, want in ((net.params, params), (opt.m, m), (opt.v, v)):
+            assert got.tobytes() == b"".join(a.tobytes() for a in want)
 
 
 def test_divergence_in_the_last_gradient_writes_nothing():
@@ -148,37 +144,35 @@ def test_divergence_in_the_last_gradient_writes_nothing():
     rng = np.random.default_rng(0)
 
     def grads():
-        return GradientSet([rng.normal(size=w.shape) for w in net.weights],
-                           [rng.normal(size=b.shape) for b in net.biases])
+        return GradientSet(net.dims, rng.normal(size=net.params.shape))
 
     for _ in range(3):
         apply_update(net, opt, grads())
-    before = [a.copy() for a in net.weights + net.biases + opt.m + opt.v]
+    before = [a.copy() for a in (net.params, opt.m, opt.v)]
     bad = grads()
-    bad.d_biases[-1][-1] = np.nan  # checked last, after every other array
+    bad.d_biases[-1][-1] = np.nan  # the flat array's last entry
     with pytest.raises(DivergenceError):
         apply_update(net, opt, bad)
     assert opt.step == 3
-    for got, want in zip(net.weights + net.biases + opt.m + opt.v, before):
+    for got, want in zip((net.params, opt.m, opt.v), before):
         assert got.tobytes() == want.tobytes()
 
 
 def test_non_finite_gradient_raises():
     net = init_mlp([2, 2], LINEAR, 0)
-    grads = GradientSet(
-        [np.full_like(net.weights[0], np.nan)], [np.zeros_like(net.biases[0])]
-    )
+    grads = GradientSet(net.dims, np.zeros_like(net.params))
+    grads.d_weights[0][...] = np.nan
     with pytest.raises(DivergenceError):
         apply_update(net, OptimizerState(), grads)
 
 
 def test_clip_gradients():
-    g = GradientSet([np.full((2, 2), 3.0)], [np.zeros(2)])
+    g = GradientSet([2, 2], np.array([3.0] * 4 + [0.0] * 2))
     norm = clip_gradients(g, max_norm=1.0)
     assert norm == pytest.approx(6.0)
     assert np.sqrt((g.d_weights[0] ** 2).sum()) == pytest.approx(1.0)
     # cap of zero disables clipping
-    g2 = GradientSet([np.full((2, 2), 3.0)], [np.zeros(2)])
+    g2 = GradientSet([2, 2], np.array([3.0] * 4 + [0.0] * 2))
     clip_gradients(g2, max_norm=0.0)
     assert np.array_equal(g2.d_weights[0], np.full((2, 2), 3.0))
 
@@ -217,7 +211,8 @@ def test_checkpoint_v2_roundtrip_is_bit_exact():
     assert (clone.dims, clone.head) == (net.dims, net.head)
     for a, b in zip(net.weights + net.biases, clone.weights + clone.biases):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert b.dtype == np.float64 and b.flags.writeable and b.flags.owndata
+        assert b.dtype == np.float64 and b.flags.writeable
+    assert clone.params.flags.owndata
     assert np.signbit(clone.weights[0][0, 0])
 
 
@@ -243,6 +238,26 @@ def test_checkpoint_v2_bad_array_raises(mutate, match):
         net_from_dict(doc)
 
 
+def test_parameter_views_share_one_buffer():
+    """Weights and biases are views of a net's one params array, gradients
+    views of their one flat array, before an Adam step and after it."""
+    def check(flat, views):
+        assert all(np.shares_memory(a, flat) for a in views)
+        assert b"".join(a.tobytes() for a in views) == flat.tobytes()
+
+    net = init_mlp([5, 7, 3], LINEAR, 2)
+    clone = net.copy()
+    assert not np.shares_memory(clone.params, net.params)
+    x = np.random.default_rng(0).normal(size=(4, 5))
+    for n in (net, clone, net_from_dict(net_to_dict(net))):
+        _, cache = forward(n, x)
+        grads = backward(n, cache, np.ones((4, 3)))
+        for _ in range(2):
+            check(n.params, n.weights + n.biases)
+            check(grads.flat, grads.d_weights + grads.d_biases)
+            apply_update(n, OptimizerState(lr=0.01), grads)
+
+
 def test_copy_is_deep():
     net = init_mlp([2, 2], LINEAR, 0)
     clone = net.copy()
@@ -254,6 +269,10 @@ def test_optimizer_validation():
     with pytest.raises(ValueError):
         OptimizerState(lr=0.0)
     net = init_mlp([2, 2], LINEAR, 0)
-    grads = GradientSet([np.zeros((2, 3))], [np.zeros(2)])
+    grads = GradientSet([2, 3], np.zeros(9))
     with pytest.raises(ValueError):
         apply_update(net, OptimizerState(), grads)
+    # same total size, other layout
+    with pytest.raises(ValueError):
+        apply_update(init_mlp([3, 2], LINEAR, 0), OptimizerState(),
+                     GradientSet([1, 4], np.zeros(8)))
