@@ -13,7 +13,7 @@ from ..neural_net import (
     backward,
     clip_gradients,
     forward,
-    forward_row,
+    forward_ids,
     init_mlp,
     input_rows,
     log_softmax,
@@ -56,21 +56,16 @@ def _policy_gradients(actor: Mlp, cache, actions, coeff, hp: HyperParams):
     return grads, logp, ent
 
 
-def a2c_gradients(actor: Mlp, critic: Mlp, obs, actions, returns, hp: HyperParams):
-    """Gradients of the actor/critic losses, clipped; plus loss statistics."""
-    obs = np.asarray(obs, dtype=float)
-    actions = np.asarray(actions)
-    returns = np.asarray(returns, dtype=float)
-    n = len(actions)
-
-    values, c_cache = forward(critic, obs)
+def a2c_gradients(actor: Mlp, critic: Mlp, ids, actions, returns, hp: HyperParams):
+    """Clipped actor/critic loss gradients at observation ids; plus loss statistics."""
+    values, c_cache = forward_ids(critic, ids)
     adv = advantage(returns, values[:, 0])
-    _, a_cache = forward(actor, obs)
+    _, a_cache = forward_ids(actor, ids)
     actor_grads, logp, ent = _policy_gradients(actor, a_cache, actions, adv, hp)
     critic_grads = _critic_gradients(critic, values, c_cache, returns,
                                     hp.grad_clip)
 
-    chosen_logp = logp[np.arange(n), actions]
+    chosen_logp = logp[np.arange(len(actions)), actions]
     stats = {
         "policy_loss": float(-np.mean(chosen_logp * adv)
                              - hp.entropy_coef * np.mean(ent)),
@@ -81,30 +76,25 @@ def a2c_gradients(actor: Mlp, critic: Mlp, obs, actions, returns, hp: HyperParam
 
 
 def collect_fragment(runner, actor: Mlp, critic: Mlp, hp: HyperParams, rng):
-    """Roll out rollout_fragment steps; returns the observations as input rows,
-    the actions, the discounted returns and the log-probabilities."""
-    obs_l, act_l, rew_l, done_l, logp_l = [], [], [], [], []
+    """Roll out rollout_fragment steps; returns the observation ids, the
+    actions and the discounted returns."""
+    obs_l, act_l, rew_l, done_l = [], [], [], []
     for _ in range(hp.rollout_fragment):
         obs = runner.obs
-        action, logp = sample_policy_action(actor, obs, rng)
+        action = sample_policy_action(actor, obs, rng)
         result = runner.step(action)
         obs_l.append(obs)
         act_l.append(action)
         rew_l.append(result.reward)
         done_l.append(result.done)
-        logp_l.append(logp)
     if done_l[-1]:
         bootstrap = 0.0
     else:
-        v, _ = forward_row(critic, runner.obs)
+        # one-row forward: a table row of the one-unit head has other last bits
+        v, _ = forward(critic, input_rows(critic, runner.obs))
         bootstrap = float(v[0])
     returns = fragment_returns(rew_l, done_l, hp.gamma, bootstrap)
-    return (
-        input_rows(actor, obs_l),
-        np.asarray(act_l),
-        returns,
-        np.asarray(logp_l),
-    )
+    return np.asarray(obs_l), np.asarray(act_l), returns
 
 
 class A2CTrainer:
@@ -148,9 +138,9 @@ class A2CTrainer:
 
     def update(self, batches):
         """One step on the round's fragments, concatenated."""
-        obs, actions, returns, _ = (np.concatenate(b) for b in zip(*batches))
+        ids, actions, returns = (np.concatenate(b) for b in zip(*batches))
         a_grads, c_grads, _ = a2c_gradients(
-            self.actor, self.critic, obs, actions, returns, self.hp
+            self.actor, self.critic, ids, actions, returns, self.hp
         )
         apply_update(self.actor, self.actor_opt, a_grads)
         apply_update(self.critic, self.critic_opt, c_grads)

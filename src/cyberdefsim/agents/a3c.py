@@ -57,10 +57,10 @@ class A3CWorker:
     def compute_submission(self, server: ParameterServer):
         """Pull a snapshot, roll one fragment, return its gradients."""
         _version, actor, critic = server.snapshot()
-        obs, actions, returns, _ = collect_fragment(
+        ids, actions, returns = collect_fragment(
             self.runner, actor, critic, self.hp, self.rng
         )
-        a_grads, c_grads, _ = a2c_gradients(actor, critic, obs, actions,
+        a_grads, c_grads, _ = a2c_gradients(actor, critic, ids, actions,
                                             returns, self.hp)
         return a_grads, c_grads
 
@@ -84,8 +84,8 @@ class A3CTrainer(A2CTrainer):
     def update(self, batches):
         # every submission is computed before any lands, so all of them see
         # one server version; staleness comes only from the apply order
-        submissions = [a2c_gradients(self.actor, self.critic, obs, actions,
+        submissions = [a2c_gradients(self.actor, self.critic, ids, actions,
                                      returns, self.hp)[:2]
-                       for obs, actions, returns, _ in batches]
+                       for ids, actions, returns in batches]
         for i in self.order_rng.permutation(len(submissions)):
             self.version_history.append(self.server.submit(*submissions[i]))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..environment import DEFENDER_WIN, TRUNCATED
-from ..neural_net import Mlp, forward_row, log_softmax
+from ..neural_net import Mlp, forward_table
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,7 @@ def act_epsilon_greedy(qnet: Mlp, obs, eps: float, rng) -> int:
     n_actions = qnet.dims[-1]
     if rng.random() < eps:
         return int(rng.integers(n_actions))
-    q, _ = forward_row(qnet, obs)
-    return int(np.argmax(q))
+    return int(np.argmax(forward_table(qnet)[0][obs]))
 
 
 def fragment_returns(rewards, dones, gamma: float, bootstrap_value: float) -> np.ndarray:
@@ -168,18 +167,16 @@ def advantage(returns, values) -> np.ndarray:
     return returns - values
 
 
-def sample_policy_action(actor: Mlp, obs, rng):
-    """Draw an action from the softmax policy; returns (action, log-prob)."""
-    probs, logits = forward_row(actor, obs)
-    a = int(rng.choice(len(probs), p=probs / probs.sum()))
-    return a, float(log_softmax(logits)[a])
+def sample_policy_action(actor: Mlp, obs, rng) -> int:
+    """Draw an action from the softmax policy's forward_table row for obs."""
+    probs = forward_table(actor)[0][obs]
+    return int(rng.choice(len(probs), p=probs / probs.sum()))
 
 
 def argmax_policy(net: Mlp):
     """Deterministic rule: the net's highest output (greedy Q, or policy mode)."""
     def policy(obs, rng):
-        out, _ = forward_row(net, obs)
-        return int(np.argmax(out))
+        return int(np.argmax(forward_table(net)[0][obs]))
 
     return policy
 

@@ -10,6 +10,7 @@ from ..neural_net import (
     apply_update,
     backward,
     clip_gradients,
+    forward_ids,
     forward_table,
     init_mlp,
 )
@@ -67,15 +68,14 @@ def dqn_update(agent: DqnAgent, buffer: ReplayBuffer, hp: HyperParams) -> float:
 
     Targets bootstrap after up to rollout_fragment steps of stored rewards,
     the horizon the actor-critic learners take their returns over. The
-    batch gathers its rows from one forward_table of the online net.
+    batch and the double-Q pick read the online net's forward_table.
     """
     obs, actions, returns, next_obs, dones, discounts = buffer.sample_n_step(
         hp.batch_size, hp.rollout_fragment, hp.gamma)
-    table, (activations, _, _) = forward_table(agent.qnet)
+    table, _ = forward_table(agent.qnet)
     targets = dqn_targets(table[next_obs], agent.target_q[next_obs], returns,
                           dones, discounts, hp.double_dqn)
-    q = table[obs]
-    cache = ([h[obs] for h in activations], q, q)
+    q, cache = forward_ids(agent.qnet, obs)
     taken = q[np.arange(len(actions)), actions]
     err = taken - targets
     loss = float(np.mean(err ** 2))

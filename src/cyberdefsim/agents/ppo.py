@@ -4,19 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..neural_net import Mlp, apply_update, forward, log_softmax
+from ..neural_net import Mlp, apply_update, forward_ids, log_softmax
 from .common import HyperParams, advantage
 from .a2c import A2CTrainer, _critic_gradients, _policy_gradients
 
 
-def ppo_gradients(actor: Mlp, obs, actions, advantages, old_logp,
+def ppo_gradients(actor: Mlp, ids, actions, advantages, old_logp,
                   hp: HyperParams):
-    obs = np.asarray(obs, dtype=float)
-    actions = np.asarray(actions)
-    advantages = np.asarray(advantages, dtype=float)
-    old_logp = np.asarray(old_logp, dtype=float)
-
-    _, cache = forward(actor, obs)
+    _, cache = forward_ids(actor, ids)
     new_logp = log_softmax(cache[1])[np.arange(len(actions)), actions]
     ratio = np.exp(new_logp - old_logp)
     clipped = np.clip(ratio, 1 - hp.ppo_clip, 1 + hp.ppo_clip)
@@ -35,16 +30,18 @@ class PPOTrainer(A2CTrainer):
         return [np.random.default_rng(seed)] * n
 
     def update(self, batches):
-        obs, actions, returns, old_logp = (np.concatenate(b)
-                                           for b in zip(*batches))
-        values, _ = forward(self.critic, obs)
+        ids, actions, returns = (np.concatenate(b) for b in zip(*batches))
+        values, _ = forward_ids(self.critic, ids)
         adv = advantage(returns, values[:, 0])
+        # from the logits the first epoch reads, so its ratios are exactly 1
+        _, (_, logits, _) = forward_ids(self.actor, ids)
+        old_logp = log_softmax(logits)[np.arange(len(actions)), actions]
 
         for _epoch in range(self.hp.ppo_epochs):
-            grads = ppo_gradients(self.actor, obs, actions, adv, old_logp,
+            grads = ppo_gradients(self.actor, ids, actions, adv, old_logp,
                                   self.hp)
             apply_update(self.actor, self.actor_opt, grads)
-            values, c_cache = forward(self.critic, obs)
+            values, c_cache = forward_ids(self.critic, ids)
             c_grads = _critic_gradients(self.critic, values, c_cache, returns,
                                        self.hp.grad_clip)
             apply_update(self.critic, self.critic_opt, c_grads)

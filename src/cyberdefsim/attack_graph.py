@@ -20,6 +20,15 @@ class GraphError(ValueError):
     """Raised when a graph document fails schema or structural validation."""
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def read_json(path):
+    """Parse a JSON file; the NaN and Infinity Python's json accepts raise ValueError."""
+    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+
+
 @dataclass(frozen=True)
 class Tactic:
     id: int
@@ -224,7 +233,7 @@ def load_graph(source, relaxed_counts: bool = False) -> AttackGraph:
     """
     where = f"{source}: " if isinstance(source, (str, Path)) else ""
     try:
-        doc = json.loads(Path(source).read_text()) if where else source
+        doc = read_json(source) if where else source
         tactics = [Tactic(int(t["id"]), str(t["name"])) for t in doc["tactics"]]
         techniques = [
             Technique(int(t["id"]), str(t["name"]), int(t["tactic"]), bool(t["is_goal"]))

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .attack_graph import AttackGraph, Technique
+from .attack_graph import AttackGraph, Technique, read_json
 
 INACTIVE = "inactive"
 REACTIVE = "reactive"
@@ -108,7 +107,7 @@ def load_catalog(source, graph: AttackGraph, relaxed_counts: bool = False) -> De
     """
     where = f"{source}: " if isinstance(source, (str, Path)) else ""
     try:
-        doc = json.loads(Path(source).read_text()) if where else source
+        doc = read_json(source) if where else source
         cost = CostParams(**doc.get("cost", {}))
         actions = [
             DefenseAction(

@@ -23,7 +23,7 @@ from .agents.common import (
 )
 from .agents.dqn import DqnAgent, DqnTrainer
 from .agents.ppo import PPOTrainer
-from .attack_graph import AttackGraph, load_graph, split_paths
+from .attack_graph import AttackGraph, load_graph, read_json, split_paths
 from .defense import DefenseCatalog, load_catalog
 from .environment import (
     CyberDefenseEnv,
@@ -102,8 +102,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         try:
-            doc = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            doc = read_json(path)
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config {path} is not a JSON object")
@@ -242,7 +242,7 @@ def save_checkpoint(path, algorithm: str, hp: HyperParams, training_step: int,
 def load_checkpoint(path) -> dict:
     """Read a checkpoint; anything malformed raises ConfigError naming the file."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = read_json(path)
         doc["networks"] = {k: net_from_dict(v) for k, v in doc["networks"].items()}
         _policy_net(doc)
     except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -38,8 +38,8 @@ class Mlp:
     dims: list[int]
     head: str
     params: np.ndarray  # every weight matrix, then every bias vector
-    # forward_row outputs by observation id; valid until apply_update
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
+    # forward_table's (output, cache) for these params; apply_update drops it
+    table: tuple | None = field(default=None, repr=False, compare=False)
     weights: list = field(init=False, repr=False, compare=False)  # views of params
     biases: list = field(init=False, repr=False, compare=False)
 
@@ -102,20 +102,20 @@ def forward(net: Mlp, x: np.ndarray):
     if x.shape[1] != net.dims[0]:
         raise ValueError(f"input dim {x.shape[1]} != {net.dims[0]}")
     activations = [x]
-    h = x
-    last = len(net.weights) - 1
-    logits = None
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = activations[-1] @ w
         z += b
-        if i < last:
-            h = np.tanh(z, out=z)
-            activations.append(h)
-        else:
-            logits = z
-    out = softmax(logits) if net.head == SOFTMAX else logits
-    cache = (activations, logits, out)
+        activations.append(np.tanh(z, out=z))
+    out, cache = _output_layer(net, activations)
     return (out[0] if squeeze else out), cache
+
+
+def _output_layer(net: Mlp, activations: list):
+    """The head on the last hidden activations; returns (output, cache)."""
+    logits = activations[-1] @ net.weights[-1]
+    logits += net.biases[-1]
+    out = softmax(logits) if net.head == SOFTMAX else logits
+    return out, (activations, logits, out)
 
 
 def input_rows(net: Mlp, ids) -> np.ndarray:
@@ -125,27 +125,22 @@ def input_rows(net: Mlp, ids) -> np.ndarray:
 
 
 def forward_table(net: Mlp):
-    """forward on one row per observation id. Its rows equal a batch forward's
-    bit for bit, but not a one-row forward's or a one-unit head's (gemv)."""
-    return forward(net, input_rows(net, np.arange(net.dims[0])))
-
-
-def forward_row(net: Mlp, obs: int):
-    """(output, logits) for one observation id, memoised per parameter version.
-
-    Only one-row forwards fill the memo, so a hit is bit-equal to
-    forward(net, input_rows(net, obs)); a one-row forward runs the BLAS's
-    matrix-vector path, so a batch forward's rows can differ from it in the
-    last bits. The arrays are shared between calls and read-only.
-    """
-    entry = net.memo.get(obs)
-    if entry is None:
-        out, (_, logits, _) = forward(net, input_rows(net, obs))
-        entry = (out, logits[0])
-        for a in entry:
+    """forward on one row per observation id, kept read-only on the net until
+    apply_update. Its rows equal a batch forward's bit for bit, but not a
+    one-row forward's or a one-unit head's (both run the BLAS's gemv)."""
+    if net.table is None:
+        out, cache = forward(net, input_rows(net, np.arange(net.dims[0])))
+        for a in (out, cache[1], *cache[0]):
             a.flags.writeable = False
-        net.memo[obs] = entry
-    return entry
+        net.table = out, cache
+    return net.table
+
+
+def forward_ids(net: Mlp, ids):
+    """forward(net, input_rows(net, ids)) bit for bit: hidden rows gathered
+    from forward_table, the output layer run on them."""
+    _, (table_acts, _, _) = forward_table(net)
+    return _output_layer(net, [a[ids] for a in table_acts])
 
 
 def backward(net: Mlp, cache, grad_out: np.ndarray,
@@ -188,7 +183,7 @@ class OptimizerState:
 
 
 def apply_update(net: Mlp, opt: OptimizerState, grads: GradientSet) -> None:
-    """One Adam descent step in place; clears the net's forward_row memo.
+    """One Adam descent step in place; drops the net's forward_table.
 
     Consumes `grads` (overwrites their array). A DivergenceError writes nothing.
     """
@@ -219,7 +214,7 @@ def apply_update(net: Mlp, opt: OptimizerState, grads: GradientSet) -> None:
     np.multiply(opt.lr, s, out=s)
     s /= g
     p -= s
-    net.memo.clear()
+    net.table = None
 
 
 def clip_gradients(grads: GradientSet, max_norm: float) -> float:

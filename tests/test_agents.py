@@ -24,7 +24,7 @@ from cyberdefsim.agents.common import (
 )
 from cyberdefsim.agents.dqn import DqnAgent, dqn_targets
 from cyberdefsim.agents.ppo import PPOTrainer, ppo_gradients
-from cyberdefsim.harness import ExperimentConfig, evaluate_policy
+from cyberdefsim.harness import ExperimentConfig, evaluate_policy, train
 from cyberdefsim.neural_net import (
     LINEAR,
     SOFTMAX,
@@ -32,7 +32,7 @@ from cyberdefsim.neural_net import (
     OptimizerState,
     apply_update,
     forward,
-    forward_row,
+    forward_table,
     init_mlp,
     input_rows,
     log_softmax,
@@ -88,11 +88,16 @@ def test_act_epsilon_greedy_scale_invariance():
         )
 
 
-# -- policy memo ----------------------------------------------------------------
+# -- forward table ----------------------------------------------------------------
+
+
+def dense_table(net):
+    """forward over every observation id, computed afresh."""
+    return forward(net, input_rows(net, np.arange(net.dims[0])))[0]
 
 
 def uncached_argmax(net, obs, rng):
-    return int(np.argmax(forward(net, input_rows(net, obs))[0]))
+    return int(np.argmax(dense_table(net)[obs]))
 
 
 def uncached_epsilon_greedy(net, obs, eps, rng):
@@ -102,9 +107,8 @@ def uncached_epsilon_greedy(net, obs, eps, rng):
 
 
 def uncached_sample(actor, obs, rng):
-    probs, cache = forward(actor, input_rows(actor, obs))
-    a = int(rng.choice(len(probs), p=probs / probs.sum()))
-    return a, float(log_softmax(cache[1][0])[a])
+    probs = dense_table(actor)[obs]
+    return int(rng.choice(len(probs), p=probs / probs.sum()))
 
 
 def test_input_rows_are_one_hot():
@@ -123,19 +127,24 @@ def test_input_rows_are_one_hot():
     assert input_rows(net, [3, 3]).shape == (2, 17)
 
 
-def test_forward_row_hit_equals_uncached_forward():
+def test_forward_table_hit_is_the_same_read_only_arrays():
     for head in (LINEAR, SOFTMAX):
         net = init_mlp([17, 16, 23], head, 4)
-        first = forward_row(net, 5)
-        hit = forward_row(net, np.intp(5))  # a replay id keys the same row
-        assert all(h is f for h, f in zip(hit, first))
-        out, (_, logits, _) = forward(net, input_rows(net, 5))
-        assert hit[0].tobytes() == out.tobytes()
-        assert hit[1].tobytes() == logits[0].tobytes()
-        assert not hit[0].flags.writeable
+        first = forward_table(net)
+        assert net.table is first
+        hit = forward_table(net)
+        out, (acts, logits, cached_out) = hit
+        assert hit is first and cached_out is out
+        for a in (out, logits, *acts):
+            assert not a.flags.writeable
+        dense, (dense_acts, dense_logits, _) = forward(
+            net, input_rows(net, np.arange(17)))
+        assert out.tobytes() == dense.tobytes()
+        assert logits.tobytes() == dense_logits.tobytes()
+        assert all(a.tobytes() == d.tobytes() for a, d in zip(acts, dense_acts))
 
 
-def test_apply_update_clears_the_policy_memo():
+def test_apply_update_drops_the_table():
     obs = 0
     qnet = init_mlp([2, 3], LINEAR, 0)
     actor = init_mlp([2, 3], SOFTMAX, 0)
@@ -155,23 +164,25 @@ def test_apply_update_clears_the_policy_memo():
         helper(np.random.default_rng(0))
     # one Adam step of size lr moves the biases to [-1, 0, 1]
     for net in (qnet, actor):
+        assert net.table is not None
         grads = GradientSet([2, 3], np.array([0.0] * 6 + [1.0, 0.0, -1.0]))
         apply_update(net, OptimizerState(lr=1.0), grads)
+        assert net.table is None
         assert uncached_argmax(net, obs, None) == 2
     for net, helper, uncached in helpers:
         assert helper(np.random.default_rng(1)) == uncached(
             np.random.default_rng(1))
 
 
-def test_copy_starts_with_an_empty_memo():
+def test_copy_starts_without_a_table():
     net = init_mlp([17, 8, 23], LINEAR, 0)
     argmax_policy(net)(3, None)
-    assert len(net.memo) == 1
-    assert net.copy().memo == {}
-    assert "memo" not in repr(net)
+    assert net.table is not None
+    assert net.copy().table is None
+    assert "table" not in repr(net)
 
 
-def test_argmax_and_sampling_share_one_memo():
+def test_policies_match_a_fresh_dense_forward():
     actor = init_mlp([17, 16, 23], SOFTMAX, 2)
     policy = argmax_policy(actor)
     rng, twin = np.random.default_rng(0), np.random.default_rng(0)
@@ -182,12 +193,12 @@ def test_argmax_and_sampling_share_one_memo():
                 actor, obs, twin)
         else:
             assert policy(obs, rng) == uncached_argmax(actor, obs, twin)
-    assert len(actor.memo) == 5
-    # a full evaluation, the loop `evaluate` runs on a checkpoint's net, keeps
-    # at most one entry per state
+    # one table serves every call of a parameter version, a full evaluation
+    # (the loop `evaluate` runs on a checkpoint's net) included
+    table = actor.table
     cfg = ExperimentConfig(profile="Av3")
     assert evaluate_policy(policy, cfg).episodes == cfg.eval_episodes
-    assert 5 < len(actor.memo) <= cfg.load_graph().state_count
+    assert actor.table is table
 
 
 # -- replay buffer --------------------------------------------------------------
@@ -435,14 +446,14 @@ def test_a2c_gradients_match_loss_decrease():
     actor, critic = make_actor_critic(2, 2, 3, hidden=(16,))
     hp = HyperParams(alpha=0.01, entropy_coef=0.0)
     rng = np.random.default_rng(0)
-    obs = rng.normal(size=(32, 2))
+    ids = rng.integers(2, size=32)
     actions = rng.integers(2, size=32)
     returns = rng.normal(size=32)
     a_opt, c_opt = OptimizerState(lr=0.01), OptimizerState(lr=0.01)
     value_losses = []
     for _ in range(21):
         # stats are the losses at the parameters the gradients are taken at
-        a_grads, c_grads, stats = a2c_gradients(actor, critic, obs, actions,
+        a_grads, c_grads, stats = a2c_gradients(actor, critic, ids, actions,
                                                 returns, hp)
         value_losses.append(stats["value_loss"])
         apply_update(actor, a_opt, a_grads)
@@ -455,37 +466,61 @@ def test_collect_fragment_shapes():
     actor, critic = make_actor_critic(2, 2, 0, hidden=(8,))
     hp = HyperParams(rollout_fragment=6)
     runner = mdp_runner((1, 2))
-    obs, actions, returns, logp = collect_fragment(
+    ids, actions, returns = collect_fragment(
         runner, actor, critic, hp, np.random.default_rng(0)
     )
-    assert obs.shape == (6, 2)
-    assert actions.shape == returns.shape == logp.shape == (6,)
-    assert np.all(logp <= 0)
+    assert ids.shape == actions.shape == returns.shape == (6,)
+    assert np.issubdtype(ids.dtype, np.integer) and set(ids) <= {0, 1}
 
 
 def test_ppo_ratio_one_at_old_policy():
     actor, _ = make_actor_critic(2, 2, 5, hidden=(8,))
     hp = HyperParams(entropy_coef=0.0, ppo_clip=0.2)
     rng = np.random.default_rng(0)
-    obs = rng.normal(size=(16, 2))
+    ids = rng.integers(2, size=16)
+    obs = input_rows(actor, ids)
     actions = rng.integers(2, size=16)
     _, cache = forward(actor, obs)
     old_logp = log_softmax(cache[1])[np.arange(16), actions]
     adv = rng.normal(size=16)
 
     def loss():
+        # a dense forward: finite_diff_at writes the weights in place, which
+        # a table kept on the net would not see
         probs, _ = forward(actor, obs)
         return oracles.ppo_loss(probs, actions, adv, old_logp, hp.ppo_clip,
                                 hp.entropy_coef)
 
     # at the sampling policy the clipped surrogate equals -mean(advantage)
     assert loss() == pytest.approx(-float(np.mean(adv)))
-    grads = ppo_gradients(actor, obs, actions, adv, old_logp, hp)
+    grads = ppo_gradients(actor, ids, actions, adv, old_logp, hp)
     assert all(np.isfinite(g).all() for g in grads.d_weights + grads.d_biases)
     # and ppo_gradients is the gradient of that loss
     for layer in range(len(actor.weights)):
         fd = oracles.finite_diff_at(loss, actor.weights[layer], 0)
         assert grads.d_weights[layer].reshape(-1)[0] == pytest.approx(fd, abs=1e-6)
+
+
+def test_ppo_first_epoch_ratios_are_exactly_one(monkeypatch, tmp_path):
+    """Each round's first epoch runs at the sampling policy, so every
+    probability ratio is exactly 1 (Schulman et al. 2017), on the stock net."""
+    ratios = []
+
+    def recording(actor, ids, actions, adv, old_logp, hp):
+        logits = forward(actor, input_rows(actor, ids))[1][1]
+        new_logp = log_softmax(logits)[np.arange(len(actions)), actions]
+        ratios.append(np.exp(new_logp - old_logp))
+        return ppo_gradients(actor, ids, actions, adv, old_logp, hp)
+
+    monkeypatch.setattr("cyberdefsim.agents.ppo.ppo_gradients", recording)
+    cfg = ExperimentConfig(algorithm="ppo", profile="Av3", seeds=[0],
+                           hyperparams={"epochs": 1, "steps_per_epoch": 480},
+                           output_dir=str(tmp_path / "run"))
+    train(cfg)
+    # 10 rounds of 4 workers x 12 steps, each round 3 epochs
+    rounds = np.reshape(ratios, (10, HyperParams().ppo_epochs, 48))
+    assert np.all(rounds[:, 0] == 1.0)
+    assert np.any(rounds[:, 1:] != 1.0)  # the policy did move
 
 
 def test_trainers_step_accounting():

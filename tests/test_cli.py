@@ -265,11 +265,8 @@ def json_paths(doc, path=()):
 DELETE = object()
 
 
-def mutated(data, doc):
-    """doc with the value at one path replaced, or deleted from its parent."""
-    path = data.draw(st.sampled_from(list(json_paths(doc))))
-    value = data.draw(st.sampled_from(
-        [None, True, -1, 0, 2.5, "x", [], {}] + ([DELETE] if path else [])))
+def replaced(doc, path, value):
+    """A copy of doc with the value at path replaced, or deleted from its parent."""
     if not path:
         return value
     doc = copy.deepcopy(doc)
@@ -281,6 +278,15 @@ def mutated(data, doc):
     else:
         parent[path[-1]] = value
     return doc
+
+
+def mutated(data, doc):
+    """doc with a drawn value at one drawn path, or that path deleted."""
+    path = data.draw(st.sampled_from(list(json_paths(doc))))
+    value = data.draw(st.sampled_from(
+        [None, True, -1, 0, 2.5, float("inf"), float("nan"), "x", [], {}]
+        + ([DELETE] if path else [])))
+    return replaced(doc, path, value)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -326,6 +332,49 @@ def test_mutated_inputs_fail_in_one_line(tmp_path_factory, kind, data):
         assert "Traceback" not in result.output
         if result.exit_code != 0:
             assert_one_error_line(result)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+# json.dumps writes these as NaN, Infinity and -Infinity, which are not JSON
+# but which Python's json reads back as floats
+@pytest.mark.parametrize("kind,path,value", [
+    ("graph", ("techniques", 0, "id"), INF),
+    ("graph", ("techniques", 0, "tactic"), -INF),
+    ("catalog", ("actions", 1, "fp_scale"), INF),
+    ("catalog", ("actions", 1, "fp_scale"), NAN),
+    ("catalog", ("cost", "impl_cost"), NAN),
+    ("catalog", ("cost", "powerlaw_exponent"), NAN),
+    ("config", ("impact",), NAN),
+    ("config", ("seeds", 0), INF),
+    ("checkpoint", ("networks", "qnet", "layer_dims", 1), INF),
+])
+def test_non_finite_numbers_fail_naming_the_file(runner, tmp_path, kind, path,
+                                                 value):
+    docs = {
+        "graph": json.loads(default_graph_path().read_text()),
+        "catalog": json.loads(default_catalog_path().read_text()),
+        "config": json.loads(write_config(tmp_path).read_text()),
+        "checkpoint": write_checkpoint(tmp_path / "checkpoint.json"),
+    }
+    docs[kind] = replaced(docs[kind], path, value)
+    files = {name: tmp_path / f"{name}.json" for name in docs}
+    docs["config"]["catalog"] = str(files["catalog"])
+    for name, doc in docs.items():
+        files[name].write_text(json.dumps(doc))
+    train = ["train", "--config", str(files["config"])]
+    commands = {
+        "graph": [["validate", "--graph", str(files["graph"])]],
+        "catalog": [["validate", "--catalog", str(files["catalog"])], train],
+        "config": [train],
+        "checkpoint": [["eval", "--checkpoint", str(files["checkpoint"]),
+                        "--config", str(files["config"]), "--episodes", "3"]],
+    }[kind]
+    for args in commands:
+        result = runner.invoke(main, args)
+        assert_one_error_line(result)
+        assert str(files[kind]) in result.output
 
 
 def test_eval_missing_checkpoint(runner, tmp_path):

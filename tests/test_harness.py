@@ -262,12 +262,12 @@ PINNED_TRAINING = {
     ("ppo", "metrics.csv"):
         "63864a8346e8dfcd1f78a0d3f5d26fffc4caa1acd9e81df6b277a3382862b3ba",
     ("ppo", "checkpoint-seed0.json"):
-        "8092ce2651f16776506f5b921e0478f5df39e1f6f93dacbf2aac40c702b5d4c4",
+        "6c0f996fc1bc3408644d8515da35c12d049184f7cb1e273a96fee7a612fc04e0",
 }
 
 # sha256 of EvalReport.write_csv for 300 episodes at seed 7 of each pinned
 # checkpoint: the greedy or mode policy acts through the trained net's
-# one-row forward, so a change to its input rows or its memo moves these.
+# forward_table rows, so a change to its input rows or that table moves these.
 PINNED_CHECKPOINT_EVAL = {
     "dqn": "7db9ee8ad788f4ba470422d362e28f791515971b1bb9605a594003a114025771",
     "a2c": "cc4cae7ea819b6bdb29122bf88797280812b0f01180edb21c9234d6201ae41f7",

@@ -15,6 +15,7 @@ from cyberdefsim.neural_net import (
     backward,
     clip_gradients,
     forward,
+    forward_ids,
     forward_table,
     init_mlp,
     input_rows,
@@ -58,29 +59,55 @@ def test_forward_vector_batch_agreement():
         forward(net, np.zeros(4))
 
 
+def perturbed_net(width, head, seed, rng):
+    """A 17-256-256-width net with non-zero biases."""
+    net = init_mlp([17, 256, 256, width], head, seed)
+    for b in net.biases:
+        b[...] = rng.normal(scale=0.1, size=b.shape)
+    return net
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_table_rows_equal_batch_rows(seed):
     """Rows gathered from forward_table equal a batch forward's, bit for bit.
 
-    dqn_update gathers its batch from the 17-row table of the DQN net
-    (17-256-256-23), so the training artifacts rest on this property of the
-    BLAS's matrix-matrix product. It is known to fail in two places, where
-    no table may stand in for a forward: a one-row forward (the
-    matrix-vector path; forward_row's memo fills only from those) and a head
-    with one unit, like the critic's, whose last layer is matrix-vector too.
+    Every learner reads its nets through the 17-row table: the Q net and the
+    actor (17-256-256-23) whole, the critic (17-256-256-1) for its hidden
+    rows, in batches of 48 (DQN, A2C, PPO) and 12 (an A3C fragment). So the
+    training artifacts rest on this property of the BLAS's matrix-matrix
+    product. It is known to fail in two places, where no table row may stand
+    in for a forward's: a one-row forward (the matrix-vector path) and the
+    output of a head with one unit, like the critic's, whose last layer is
+    matrix-vector too.
     """
     rng = np.random.default_rng(seed)
-    net = init_mlp([17, 256, 256, 23], LINEAR, seed)
-    for b in net.biases:
-        b[...] = rng.normal(scale=0.1, size=b.shape)
-    table, (table_acts, _, _) = forward_table(net)
-    for batch in (48, 48, 48, 32):
-        ids = rng.integers(17, size=batch)
-        out, (acts, _, _) = forward(net, input_rows(net, ids))
-        assert table[ids].tobytes() == out.tobytes()
-        assert len(acts) == len(table_acts) == 3
-        for a, t in zip(acts, table_acts):
-            assert t[ids].tobytes() == a.tobytes()
+    for width in (23, 1):
+        net = perturbed_net(width, LINEAR, seed, rng)
+        table, (table_acts, _, _) = forward_table(net)
+        for batch in (48, 48, 48, 32, 12):
+            ids = rng.integers(17, size=batch)
+            out, (acts, _, _) = forward(net, input_rows(net, ids))
+            if width > 1:
+                assert table[ids].tobytes() == out.tobytes()
+            assert len(acts) == len(table_acts) == 3
+            for a, t in zip(acts, table_acts):
+                assert t[ids].tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("head,width", [(SOFTMAX, 23), (LINEAR, 23), (LINEAR, 1)])
+def test_forward_ids_equals_dense_forward(head, width):
+    """forward_ids is forward on the ids' input rows, bit for bit, for the
+    actor's, the Q net's and the critic's head and each learner's batch."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        net = perturbed_net(width, head, seed, rng)
+        for batch in (12, 32, 48):
+            ids = rng.integers(17, size=batch)
+            got, (acts, logits, _) = forward_ids(net, ids)
+            want, (want_acts, want_logits, _) = forward(net, input_rows(net, ids))
+            assert got.tobytes() == want.tobytes()
+            assert logits.tobytes() == want_logits.tobytes()
+            assert [a.tobytes() for a in acts] == [a.tobytes() for a in want_acts]
 
 
 def test_softmax_stability_and_log_consistency():
