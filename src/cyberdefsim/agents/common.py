@@ -142,7 +142,7 @@ def act_epsilon_greedy(qnet: Mlp, obs, eps: float, rng) -> int:
     n_actions = qnet.dims[-1]
     if rng.random() < eps:
         return int(rng.integers(n_actions))
-    return int(np.argmax(forward_table(qnet)[0][obs]))
+    return _greedy_actions(qnet)[obs]
 
 
 def fragment_returns(rewards, dones, gamma: float, bootstrap_value: float) -> np.ndarray:
@@ -167,16 +167,29 @@ def advantage(returns, values) -> np.ndarray:
     return returns - values
 
 
+def _greedy_actions(net: Mlp) -> list:
+    """Per forward_table row, the highest output's index (the lowest on ties)."""
+    if net.greedy is None:
+        net.greedy = np.argmax(forward_table(net)[0], axis=1).tolist()
+    return net.greedy
+
+
 def sample_policy_action(actor: Mlp, obs, rng) -> int:
-    """Draw an action from the softmax policy's forward_table row for obs."""
-    probs = forward_table(actor)[0][obs]
-    return int(rng.choice(len(probs), p=probs / probs.sum()))
+    """Draw from the forward_table row for obs as rng.choice(n, p=probs / probs.sum())."""
+    if actor.cdf is None:  # Generator.choice's CDF, one row per observation id
+        probs = forward_table(actor)[0]
+        cdf = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        actor.cdf = cdf / cdf[:, -1:]
+    cdf = actor.cdf[obs]
+    if math.isnan(cdf[-1]):
+        raise ValueError("Probabilities contain NaN")
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def argmax_policy(net: Mlp):
     """Deterministic rule: the net's highest output (greedy Q, or policy mode)."""
     def policy(obs, rng):
-        return int(np.argmax(forward_table(net)[0][obs]))
+        return _greedy_actions(net)[obs]
 
     return policy
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,10 +58,10 @@ class DefenseCatalog:
         self.reactive_block_prob = float(reactive_block_prob)
         self.cost_params = cost_params
         self._validate(graph, relaxed_counts)
-        # truncated power-law pmf for interruption draws
+        # truncated power-law CDF for interruption draws, as a list for bisect
         k = np.arange(1, cost_params.powerlaw_max + 1, dtype=float)
         w = k ** (-cost_params.powerlaw_exponent)
-        self._pl_cdf = np.cumsum(w / w.sum())
+        self._pl_cdf = np.cumsum(w / w.sum()).tolist()
 
     def _validate(self, graph: AttackGraph, relaxed_counts: bool):
         ids = [a.id for a in self.actions]
@@ -151,9 +153,9 @@ def sample_interruptions(catalog: DefenseCatalog, action: DefenseAction,
     """
     if action.kind == INACTIVE:
         return 0
-    k = int(np.searchsorted(catalog._pl_cdf, rng.random()) + 1)
+    k = bisect_left(catalog._pl_cdf, rng.random()) + 1
     scaled = k * action.fp_scale * catalog.cost_params.depth_attenuation ** depth
-    return int(np.floor(scaled + 0.5))
+    return math.floor(scaled + 0.5)
 
 
 def action_cost(catalog: DefenseCatalog, action: DefenseAction,

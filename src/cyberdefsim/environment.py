@@ -150,9 +150,16 @@ class CyberDefenseEnv:
         self._failures = 0
         self._t = 0
         self._done = True
-        # strongest block the catalog can field against each technique,
-        # for the residual risk term
-        self._best_block = best_block_table(self.catalog, self.graph)
+        # per-step lookups built once from the public formulas: the strongest
+        # catalog block per technique (for the residual risk term), block odds
+        # by action id and technique id, tactic depth by (dense) state index
+        g = self.graph
+        self._best_block = best_block_table(self.catalog, g)
+        self._beta = [{tid: block_probability(self.catalog, a, tech)
+                       for tid, tech in g.techniques.items()}
+                      for a in self.catalog.actions]
+        self._depth = [g.tactic_depth(s) for s in (
+            g.initiated, *map(g.state_of, sorted(g.techniques)), g.terminated)]
         self._valid_paths: set[AttackPath] = set()
 
     @property
@@ -181,11 +188,10 @@ class CyberDefenseEnv:
             raise RuntimeError("step() after episode end; call reset()")
         action = self.catalog.actions[action_id]
         path, profile = self._path, self.profile
-        pre_depth = self.graph.tactic_depth(self._position)
+        pre_depth = self._depth[self._position.index]
 
         target_id = path.steps[self._cursor]
-        beta = block_probability(self.catalog, action,
-                                 self.graph.techniques[target_id])
+        beta = self._beta[action_id][target_id]
         # the skill draw is made only when the defense did not block
         if self.rng.random() >= beta and attempt(profile, self.rng):
             self._position = self.graph.state_of(target_id)
@@ -225,7 +231,7 @@ class CyberDefenseEnv:
             # pre-termination position for defender wins, the current position
             # otherwise (truncation buckets where the attacker sits)
             "stop_depth": pre_depth if outcome == DEFENDER_WIN
-            else self.graph.tactic_depth(self._position),
+            else self._depth[self._position.index],
         }
         return StepOutcome(obs, reward, self._done, info)
 

@@ -356,13 +356,14 @@ def _evaluate(make_policy, config: ExperimentConfig, test_paths, episodes,
               seed: int) -> EvalReport:
     """Roll `episodes` episodes of make_policy(obs_dim, n_actions) on the
     held-out paths; the policy and the path draws share one stream."""
+    episodes = config.eval_episodes if episodes is None else episodes
+    if type(episodes) is not int or episodes < 1:
+        raise ValueError(f"episodes must be an integer >= 1, got {episodes!r}")
     graph = config.load_graph()
     catalog = config.load_catalog(graph)
     policy = make_policy(graph.state_count, len(catalog))
     if test_paths is None:
         _, test_paths = split_for_config(config, graph)
-    if episodes is None:
-        episodes = config.eval_episodes
     env_cfg = config.env_config(graph, catalog,
                                 np.random.SeedSequence([seed, 0xE7A]))
     rng = np.random.default_rng([seed, 0x5EED])

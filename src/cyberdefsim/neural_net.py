@@ -38,8 +38,11 @@ class Mlp:
     dims: list[int]
     head: str
     params: np.ndarray  # every weight matrix, then every bias vector
-    # forward_table's (output, cache) for these params; apply_update drops it
+    # forward_table's (output, cache) for these params, and the greedy actions
+    # and sampling CDF agents derive from its rows; apply_update drops all three
     table: tuple | None = field(default=None, repr=False, compare=False)
+    greedy: list | None = field(default=None, repr=False, compare=False)
+    cdf: np.ndarray | None = field(default=None, repr=False, compare=False)
     weights: list = field(init=False, repr=False, compare=False)  # views of params
     biases: list = field(init=False, repr=False, compare=False)
 
@@ -183,7 +186,7 @@ class OptimizerState:
 
 
 def apply_update(net: Mlp, opt: OptimizerState, grads: GradientSet) -> None:
-    """One Adam descent step in place; drops the net's forward_table.
+    """One Adam descent step in place; drops the net's table, greedy and cdf.
 
     Consumes `grads` (overwrites their array). A DivergenceError writes nothing.
     """
@@ -214,7 +217,7 @@ def apply_update(net: Mlp, opt: OptimizerState, grads: GradientSet) -> None:
     np.multiply(opt.lr, s, out=s)
     s /= g
     p -= s
-    net.table = None
+    net.table = net.greedy = net.cdf = None
 
 
 def clip_gradients(grads: GradientSet, max_norm: float) -> float:

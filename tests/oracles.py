@@ -10,6 +10,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cyberdefsim.adversary import attempt
+from cyberdefsim.defense import action_cost, block_probability, sample_interruptions
+from cyberdefsim.environment import (
+    ADVERSARY_WIN,
+    DEFENDER_WIN,
+    ONGOING,
+    RISK_ACTION_AWARE,
+    RISK_RESIDUAL,
+    TRUNCATED,
+    StepOutcome,
+    compute_p_goal,
+    observe,
+    reward_of_transition,
+)
 from cyberdefsim.neural_net import (
     apply_update,
     backward,
@@ -278,6 +292,65 @@ class ReferenceDqn:
         if self.updates % hp.target_sync == 0:
             self.target_net = qnet.copy()
         return float(np.mean(err ** 2))
+
+
+# -- simulator step --------------------------------------------------------------
+
+
+class ReferenceEnv:
+    """The simulator's step written out against the public formulas and graph
+    queries, each called afresh every step: stepped beside CyberDefenseEnv
+    from the same seed, it checks that the env's precomputed lookups change
+    no draw, no draw order and no output."""
+
+    def __init__(self, config):
+        self.config = config
+        self.rng = np.random.default_rng(config.seed)
+
+    def reset(self, path) -> int:
+        self.path, self.position = path, self.config.graph.initiated
+        self.cursor = self.failures = self.t = 0
+        return self.position.index
+
+    def step(self, action_id: int) -> StepOutcome:
+        cfg, graph, catalog = self.config, self.config.graph, self.config.catalog
+        profile, path = cfg.profile, self.path
+        action = catalog.actions[action_id]
+        pre_depth = graph.tactic_depth(self.position)
+        target_id = path.steps[self.cursor]
+        beta = block_probability(catalog, action, graph.techniques[target_id])
+        if self.rng.random() >= beta and attempt(profile, self.rng):
+            self.position = graph.state_of(target_id)
+            self.cursor += 1
+        else:
+            self.failures += 1
+            if self.failures >= profile.tau:
+                self.position = graph.terminated
+        interrupted = sample_interruptions(catalog, action, pre_depth, self.rng)
+        cost = action_cost(catalog, action, interrupted)
+        self.t += 1
+        if self.cursor >= len(path):
+            outcome, p_goal = ADVERSARY_WIN, 1.0
+        elif self.failures >= profile.tau:
+            outcome, p_goal = DEFENDER_WIN, 0.0
+        else:
+            outcome = TRUNCATED if self.t >= cfg.horizon else ONGOING
+            rho = profile.rho
+            if cfg.risk_mode == RISK_RESIDUAL:
+                nxt = graph.techniques[path.steps[self.cursor]]
+                rho = (1.0 - max(block_probability(catalog, a, nxt)
+                                 for a in catalog.actions)) * rho
+            elif cfg.risk_mode == RISK_ACTION_AWARE:
+                rho = (1.0 - beta) * rho
+            p_goal = compute_p_goal(path, self.cursor,
+                                    profile.tau - self.failures, rho)
+        reward = reward_of_transition(cfg.reward_model, p_goal, outcome, cost)
+        obs = observe(self.position, profile, self.rng, graph)
+        stop_depth = (pre_depth if outcome == DEFENDER_WIN
+                      else graph.tactic_depth(self.position))
+        return StepOutcome(obs, reward, outcome != ONGOING,
+                           {"outcome": outcome, "cost": cost,
+                            "stop_depth": stop_depth})
 
 
 # -- two-state reference MDP and value iteration -------------------------------

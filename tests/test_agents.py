@@ -160,26 +160,81 @@ def test_apply_update_drops_the_table():
     ]
     for net in (qnet, actor):
         net.weights[0][:] = 0.0  # every output ties, so the argmax is 0
+    # policies built before the update must act on the parameters after it
+    policies = [(net, argmax_policy(net)) for net in (qnet, actor)]
     for _, helper, _ in helpers:
         helper(np.random.default_rng(0))
+    assert [policy(obs, None) for _, policy in policies] == [0, 0]
     # one Adam step of size lr moves the biases to [-1, 0, 1]
     for net in (qnet, actor):
-        assert net.table is not None
+        assert net.table is not None and net.greedy is not None
         grads = GradientSet([2, 3], np.array([0.0] * 6 + [1.0, 0.0, -1.0]))
         apply_update(net, OptimizerState(lr=1.0), grads)
-        assert net.table is None
+        assert net.table is None and net.greedy is None and net.cdf is None
         assert uncached_argmax(net, obs, None) == 2
+    assert actor.cdf is None
     for net, helper, uncached in helpers:
         assert helper(np.random.default_rng(1)) == uncached(
             np.random.default_rng(1))
+    for net, policy in policies:
+        assert policy(obs, None) == uncached_argmax(net, obs, None) == 2
 
 
 def test_copy_starts_without_a_table():
-    net = init_mlp([17, 8, 23], LINEAR, 0)
+    net = init_mlp([17, 8, 23], SOFTMAX, 0)
     argmax_policy(net)(3, None)
-    assert net.table is not None
-    assert net.copy().table is None
-    assert "table" not in repr(net)
+    sample_policy_action(net, 3, np.random.default_rng(0))
+    assert all(v is not None for v in (net.table, net.greedy, net.cdf))
+    twin = net.copy()
+    assert twin.table is None and twin.greedy is None and twin.cdf is None
+    assert "table" not in repr(net) and "cdf" not in repr(net)
+
+
+def test_cached_cdf_draws_equal_rng_choice():
+    draws = 0
+    for seed in range(24):
+        actor = init_mlp([17, 32, 23], SOFTMAX, seed)
+        if seed % 3 == 0:
+            actor.weights[-1][:] *= 50.0
+        probs = dense_table(actor)
+        # the scaled actors put most of a row's mass on one action
+        assert (probs.max() > 0.9) == (seed % 3 == 0)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for obs in np.random.default_rng(100 + seed).integers(17, size=2000):
+            p = probs[obs]
+            assert sample_policy_action(actor, obs, rng) == int(
+                twin.choice(len(p), p=p / p.sum()))
+            draws += 1
+        assert rng.bit_generator.state == twin.bit_generator.state
+    assert draws >= 40_000
+
+
+def test_sampling_a_nan_row_raises_as_rng_choice_does():
+    actor = init_mlp([17, 8, 23], SOFTMAX, 0)
+    actor.biases[-1][3] = np.nan
+    probs = dense_table(actor)[5]
+    with pytest.raises(ValueError) as want:
+        np.random.default_rng(0).choice(len(probs), p=probs / probs.sum())
+    with pytest.raises(ValueError) as got:
+        sample_policy_action(actor, 5, np.random.default_rng(0))
+    assert str(got.value) == str(want.value)
+
+
+def test_cached_greedy_is_the_row_argmax_lowest_index_first():
+    nets = [init_mlp([17, 16, 23], head, seed)
+            for head in (LINEAR, SOFTMAX) for seed in range(5)]
+    for net in nets[:2]:
+        # every row ties across actions 4, 9 and 17
+        net.weights[-1][:] = 0.0
+        net.biases[-1][[4, 9, 17]] = 1.0
+    for net in nets:
+        table = dense_table(net)
+        policy, rng = argmax_policy(net), np.random.default_rng(0)
+        for obs in range(17):
+            want = int(np.argmax(table[obs]))
+            assert policy(obs, None) == want
+            assert act_epsilon_greedy(net, obs, 0.0, rng) == want
+    assert [argmax_policy(net)(0, None) for net in nets[:2]] == [4, 4]
 
 
 def test_policies_match_a_fresh_dense_forward():

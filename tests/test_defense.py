@@ -97,6 +97,34 @@ def test_interruptions_attenuate_with_depth(catalog):
     assert means[0] > means[1] > means[2]
 
 
+def numpy_interruptions(pl_cdf, catalog, action, depth, rng):
+    """sample_interruptions in its earlier numpy form: np.searchsorted on the
+    power-law CDF array, then np.floor."""
+    if action.kind == INACTIVE:
+        return 0
+    k = int(np.searchsorted(pl_cdf, rng.random()) + 1)
+    scaled = k * action.fp_scale * catalog.cost_params.depth_attenuation ** depth
+    return int(np.floor(scaled + 0.5))
+
+
+def test_interruptions_equal_the_numpy_form(catalog):
+    p = catalog.cost_params
+    w = np.arange(1, p.powerlaw_max + 1, dtype=float) ** (-p.powerlaw_exponent)
+    pl_cdf = np.cumsum(w / w.sum())
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    draws = 0
+    for action in catalog.actions:
+        for depth in range(8):
+            for _ in range(1100):
+                got = sample_interruptions(catalog, action, depth, rng)
+                assert type(got) is int
+                assert got == numpy_interruptions(pl_cdf, catalog, action,
+                                                  depth, twin)
+                draws += 1
+    assert draws >= 200_000
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_cost_params_validation():
     with pytest.raises(CatalogError):
         CostParams(impl_cost=-1)

@@ -1,10 +1,12 @@
 """Unit tests for the episodic simulator, reward model, and risk term."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import oracles
 from cyberdefsim.adversary import AdversaryProfile, profile_by_name
 from cyberdefsim.attack_graph import AttackPath, GraphError, load_graph
 from cyberdefsim.defense import load_catalog
@@ -16,6 +18,7 @@ from cyberdefsim.environment import (
     ONGOING,
     RISK_ACTION_AWARE,
     RISK_INACTIVE,
+    RISK_RESIDUAL,
     RewardModel,
     TRUNCATED,
     best_block_table,
@@ -285,6 +288,55 @@ def test_seeded_episode_determinism(graph, catalog):
                 break
         traces.append(trace)
     assert traces[0] == traces[1]
+
+
+@pytest.mark.parametrize("literal_iv", [False, True])
+@pytest.mark.parametrize("risk_mode",
+                         [RISK_RESIDUAL, RISK_ACTION_AWARE, RISK_INACTIVE])
+@pytest.mark.parametrize("profile", ["Av1", "Av2", "Av3"])
+def test_step_matches_the_reference_step(graph, catalog, profile, risk_mode,
+                                         literal_iv):
+    # horizon 8 truncates most episodes; the pinned digests only cover the
+    # residual, non-literal setting
+    cfg = EnvConfig(graph, catalog, profile_by_name(profile),
+                    RewardModel(literal_iv=literal_iv), horizon=8, seed=17,
+                    risk_mode=risk_mode)
+    env, ref = CyberDefenseEnv(cfg), oracles.ReferenceEnv(cfg)
+    paths = graph.enumerate_paths()
+    pick = np.random.default_rng(3)
+    outcomes = Counter()
+    for _ in range(400):
+        path = paths[int(pick.integers(len(paths)))]
+        assert env.reset(path) == ref.reset(path)
+        done = False
+        while not done:
+            action = int(pick.integers(23))
+            got, want = env.step(action), ref.step(action)
+            assert got == want
+            assert type(got.observation) is type(want.observation)
+            done = got.done
+        outcomes[got.info["outcome"]] += 1
+    assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert outcomes[TRUNCATED] and outcomes[ADVERSARY_WIN]
+    # seven failures in eight steps: random defense never stops Av3 in time
+    assert bool(outcomes[DEFENDER_WIN]) == (profile != "Av3")
+
+
+def test_step_indexes_action_ids_as_the_catalog_does(graph, catalog):
+    cfg = EnvConfig(graph, catalog, profile_by_name("Av2"), seed=4)
+    env, ref = CyberDefenseEnv(cfg), oracles.ReferenceEnv(cfg)
+    path = graph.enumerate_paths()[7]
+    env.reset(path), ref.reset(path)
+    for action in (-1, -23, 23, -24, 5):
+        state = env.rng.bit_generator.state
+        if -23 <= action < 23:
+            assert env.step(action) == ref.step(action)
+        else:
+            # an unknown id raises before any draw and leaves the episode as it was
+            with pytest.raises(IndexError):
+                env.step(action)
+            assert env.rng.bit_generator.state == state
+    assert env.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 def test_success_advances_cursor_and_position(graph, catalog):

@@ -210,6 +210,19 @@ def test_random_baseline_bounds(tmp_path):
     assert 0.0 <= report.dwr <= 1.0
 
 
+@pytest.mark.parametrize("episodes", [0, -3, 2.0, True, "10", np.int64(5)])
+def test_evaluation_rejects_a_bad_episode_count(tmp_path, episodes):
+    cfg = tiny_config(tmp_path)
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(ckpt, "dqn", HyperParams(), 0,
+                    {"qnet": net_to_dict(init_mlp([17, 8, 23], LINEAR, 0))})
+    for run in (lambda: evaluate(ckpt, cfg, episodes=episodes),
+                lambda: evaluate_policy(lambda obs, rng: 0, cfg, episodes=episodes),
+                lambda: random_baseline(cfg, episodes=episodes)):
+        with pytest.raises(ValueError, match="episodes must be an integer >= 1"):
+            run()
+
+
 # sha256 of EvalReport.write_csv for 300 episodes at seed 7. These reports
 # run no network, so any change to the simulator's draws, their order, or the
 # episode loop's path draws moves them.
