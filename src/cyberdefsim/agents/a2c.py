@@ -10,12 +10,10 @@ from ..neural_net import (
     Mlp,
     OptimizerState,
     apply_update,
-    backward,
+    backward_ids,
     clip_gradients,
-    forward,
-    forward_ids,
+    forward_table,
     init_mlp,
-    input_rows,
     log_softmax,
 )
 from .common import (HyperParams, advantage, fragment_returns,
@@ -31,45 +29,47 @@ def make_actor_critic(obs_dim: int, n_actions: int, seed, hidden=(256, 256)):
     return actor, critic
 
 
-def _critic_gradients(critic: Mlp, values, cache, returns, grad_clip: float):
-    """Clipped gradient of the mean squared error of `values` to `returns`."""
-    grad_v = (2.0 * (values[:, 0] - returns) / len(returns))[:, None]
-    grads = backward(critic, cache, grad_v)
+def _critic_gradients(critic: Mlp, ids, returns, grad_clip: float):
+    """Clipped gradient of the mean squared error of the values at
+    observation ids to `returns`."""
+    values = forward_table(critic)[0][ids, 0]
+    grads = backward_ids(critic, ids,
+                         (2.0 * (values - returns) / len(returns))[:, None])
     clip_gradients(grads, grad_clip)
     return grads
 
 
-def _policy_gradients(actor: Mlp, cache, actions, coeff, hp: HyperParams):
-    """Clipped gradient of -mean(coeff * logpi(a)) - entropy_coef * mean(H),
-    `coeff` held constant; returns (grads, log-probabilities, entropies)."""
+def _policy_gradients(actor: Mlp, ids, actions, coeff, hp: HyperParams):
+    """Clipped gradient of -mean(coeff * logpi(a)) - entropy_coef * mean(H)
+    at observation ids, `coeff` held constant; returns (grads,
+    log-probabilities, entropies)."""
     n = len(actions)
-    probs = cache[2]
-    logp = log_softmax(cache[1])
+    _, (_, logits, probs) = forward_table(actor)
+    probs = probs[ids]
+    logp = log_softmax(logits[ids])
     ent = -np.sum(probs * logp, axis=1)
     grad_logits = probs.copy()
     grad_logits[np.arange(n), actions] -= 1.0
     grad_logits *= coeff[:, None]
     grad_logits += hp.entropy_coef * probs * (logp + ent[:, None])
     grad_logits /= n
-    grads = backward(actor, cache, grad_logits, from_logits=True)
+    grads = backward_ids(actor, ids, grad_logits, from_logits=True)
     clip_gradients(grads, hp.grad_clip)
     return grads, logp, ent
 
 
 def a2c_gradients(actor: Mlp, critic: Mlp, ids, actions, returns, hp: HyperParams):
     """Clipped actor/critic loss gradients at observation ids; plus loss statistics."""
-    values, c_cache = forward_ids(critic, ids)
-    adv = advantage(returns, values[:, 0])
-    _, a_cache = forward_ids(actor, ids)
-    actor_grads, logp, ent = _policy_gradients(actor, a_cache, actions, adv, hp)
-    critic_grads = _critic_gradients(critic, values, c_cache, returns,
-                                    hp.grad_clip)
+    values = forward_table(critic)[0][ids, 0]
+    adv = advantage(returns, values)
+    actor_grads, logp, ent = _policy_gradients(actor, ids, actions, adv, hp)
+    critic_grads = _critic_gradients(critic, ids, returns, hp.grad_clip)
 
     chosen_logp = logp[np.arange(len(actions)), actions]
     stats = {
         "policy_loss": float(-np.mean(chosen_logp * adv)
                              - hp.entropy_coef * np.mean(ent)),
-        "value_loss": float(np.mean((returns - values[:, 0]) ** 2)),
+        "value_loss": float(np.mean((returns - values) ** 2)),
         "entropy": float(np.mean(ent)),
     }
     return actor_grads, critic_grads, stats
@@ -87,12 +87,7 @@ def collect_fragment(runner, actor: Mlp, critic: Mlp, hp: HyperParams, rng):
         act_l.append(action)
         rew_l.append(result.reward)
         done_l.append(result.done)
-    if done_l[-1]:
-        bootstrap = 0.0
-    else:
-        # one-row forward: a table row of the one-unit head has other last bits
-        v, _ = forward(critic, input_rows(critic, runner.obs))
-        bootstrap = float(v[0])
+    bootstrap = 0.0 if done_l[-1] else forward_table(critic)[0][runner.obs, 0]
     returns = fragment_returns(rew_l, done_l, hp.gamma, bootstrap)
     return np.asarray(obs_l), np.asarray(act_l), returns
 

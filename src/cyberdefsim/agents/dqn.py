@@ -8,9 +8,8 @@ from ..neural_net import (
     LINEAR,
     OptimizerState,
     apply_update,
-    backward,
+    backward_ids,
     clip_gradients,
-    forward_ids,
     forward_table,
     init_mlp,
 )
@@ -75,13 +74,11 @@ def dqn_update(agent: DqnAgent, buffer: ReplayBuffer, hp: HyperParams) -> float:
     table, _ = forward_table(agent.qnet)
     targets = dqn_targets(table[next_obs], agent.target_q[next_obs], returns,
                           dones, discounts, hp.double_dqn)
-    q, cache = forward_ids(agent.qnet, obs)
-    taken = q[np.arange(len(actions)), actions]
-    err = taken - targets
+    err = table[obs, actions] - targets
     loss = float(np.mean(err ** 2))
-    grad_out = np.zeros_like(q)
+    grad_out = np.zeros((len(actions), table.shape[1]))
     grad_out[np.arange(len(actions)), actions] = 2.0 * err / len(actions)
-    grads = backward(agent.qnet, cache, grad_out)
+    grads = backward_ids(agent.qnet, obs, grad_out)
     clip_gradients(grads, hp.grad_clip)
     apply_update(agent.qnet, agent.opt, grads)
     agent.updates += 1

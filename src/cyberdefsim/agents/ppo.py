@@ -4,22 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..neural_net import Mlp, apply_update, forward_ids, log_softmax
+from ..neural_net import Mlp, apply_update, forward_table, log_softmax
 from .common import HyperParams, advantage
 from .a2c import A2CTrainer, _critic_gradients, _policy_gradients
 
 
 def ppo_gradients(actor: Mlp, ids, actions, advantages, old_logp,
                   hp: HyperParams):
-    _, cache = forward_ids(actor, ids)
-    new_logp = log_softmax(cache[1])[np.arange(len(actions)), actions]
+    _, (_, logits, _) = forward_table(actor)
+    new_logp = log_softmax(logits[ids])[np.arange(len(actions)), actions]
     ratio = np.exp(new_logp - old_logp)
     clipped = np.clip(ratio, 1 - hp.ppo_clip, 1 + hp.ppo_clip)
     unclipped_term = ratio * advantages
     # gradient flows through the ratio only where the unclipped branch is taken
     active = unclipped_term <= clipped * advantages
     coeff = np.where(active, unclipped_term, 0.0)
-    return _policy_gradients(actor, cache, actions, coeff, hp)[0]
+    return _policy_gradients(actor, ids, actions, coeff, hp)[0]
 
 
 class PPOTrainer(A2CTrainer):
@@ -31,17 +31,15 @@ class PPOTrainer(A2CTrainer):
 
     def update(self, batches):
         ids, actions, returns = (np.concatenate(b) for b in zip(*batches))
-        values, _ = forward_ids(self.critic, ids)
-        adv = advantage(returns, values[:, 0])
+        adv = advantage(returns, forward_table(self.critic)[0][ids, 0])
         # from the logits the first epoch reads, so its ratios are exactly 1
-        _, (_, logits, _) = forward_ids(self.actor, ids)
-        old_logp = log_softmax(logits)[np.arange(len(actions)), actions]
+        _, (_, logits, _) = forward_table(self.actor)
+        old_logp = log_softmax(logits[ids])[np.arange(len(actions)), actions]
 
         for _epoch in range(self.hp.ppo_epochs):
             grads = ppo_gradients(self.actor, ids, actions, adv, old_logp,
                                   self.hp)
             apply_update(self.actor, self.actor_opt, grads)
-            values, c_cache = forward_ids(self.critic, ids)
-            c_grads = _critic_gradients(self.critic, values, c_cache, returns,
+            c_grads = _critic_gradients(self.critic, ids, returns,
                                        self.hp.grad_clip)
             apply_update(self.critic, self.critic_opt, c_grads)

@@ -364,6 +364,8 @@ def _evaluate(make_policy, config: ExperimentConfig, test_paths, episodes,
     policy = make_policy(graph.state_count, len(catalog))
     if test_paths is None:
         _, test_paths = split_for_config(config, graph)
+    if not test_paths:
+        raise ConfigError("empty test split")
     env_cfg = config.env_config(graph, catalog,
                                 np.random.SeedSequence([seed, 0xE7A]))
     rng = np.random.default_rng([seed, 0x5EED])

@@ -109,16 +109,10 @@ def forward(net: Mlp, x: np.ndarray):
         z = activations[-1] @ w
         z += b
         activations.append(np.tanh(z, out=z))
-    out, cache = _output_layer(net, activations)
-    return (out[0] if squeeze else out), cache
-
-
-def _output_layer(net: Mlp, activations: list):
-    """The head on the last hidden activations; returns (output, cache)."""
     logits = activations[-1] @ net.weights[-1]
     logits += net.biases[-1]
     out = softmax(logits) if net.head == SOFTMAX else logits
-    return out, (activations, logits, out)
+    return (out[0] if squeeze else out), (activations, logits, out)
 
 
 def input_rows(net: Mlp, ids) -> np.ndarray:
@@ -137,13 +131,6 @@ def forward_table(net: Mlp):
             a.flags.writeable = False
         net.table = out, cache
     return net.table
-
-
-def forward_ids(net: Mlp, ids):
-    """forward(net, input_rows(net, ids)) bit for bit: hidden rows gathered
-    from forward_table, the output layer run on them."""
-    _, (table_acts, _, _) = forward_table(net)
-    return _output_layer(net, [a[ids] for a in table_acts])
 
 
 def backward(net: Mlp, cache, grad_out: np.ndarray,
@@ -168,6 +155,15 @@ def backward(net: Mlp, cache, grad_out: np.ndarray,
             g = g @ net.weights[i].T
             g *= 1.0 - activations[i] ** 2
     return grads
+
+
+def backward_ids(net: Mlp, ids, grad_rows: np.ndarray,
+                 from_logits: bool = False) -> GradientSet:
+    """backward for a batch of observation ids, with one dLoss/d(output) row
+    per id: the rows summed per id, then backward over forward_table's rows."""
+    g = np.zeros((net.dims[0], net.dims[-1]))
+    np.add.at(g, ids, grad_rows)
+    return backward(net, forward_table(net)[1], g, from_logits)
 
 
 @dataclass
@@ -222,9 +218,7 @@ def apply_update(net: Mlp, opt: OptimizerState, grads: GradientSet) -> None:
 
 def clip_gradients(grads: GradientSet, max_norm: float) -> float:
     """Scale grads in place to a global norm cap; returns the pre-clip norm."""
-    # summed view by view: one dot product over the flat array rounds differently
-    total = float(np.sqrt(
-        sum(float((g ** 2).sum()) for g in grads.d_weights + grads.d_biases)))
+    total = math.sqrt(np.square(grads.flat).sum())
     if max_norm > 0 and total > max_norm:
         grads.flat *= max_norm / total
     return total

@@ -26,7 +26,7 @@ from cyberdefsim.environment import (
 )
 from cyberdefsim.neural_net import (
     apply_update,
-    backward,
+    backward_ids,
     clip_gradients,
     forward,
     input_rows,
@@ -258,8 +258,9 @@ class ReferenceDqn:
     The online net runs on `obs` and on `next_obs` (the double-Q pick), the
     target net on `next_obs`; the target net is a copy of the online net,
     taken every `target_sync` updates (Mnih et al. 2015; van Hasselt et al.
-    2016). It runs on the package's net substrate and replay buffer, so
-    agreement checks how the package's update gathers its batch, not those.
+    2016). It runs on the package's net substrate (its per-id backward
+    included) and replay buffer, so agreement checks how the package's
+    update gathers its batch, not those.
     """
 
     def __init__(self, qnet, opt, buffer, hp):
@@ -281,11 +282,11 @@ class ReferenceDqn:
             pick = np.argmax(q_target, axis=1)
         bootstrap = q_target[np.arange(len(pick)), pick]
         targets = returns + discounts * bootstrap * ~dones
-        q, cache = forward(qnet, input_rows(qnet, obs))
+        q, _ = forward(qnet, input_rows(qnet, obs))
         err = q[np.arange(len(actions)), actions] - targets
         grad_out = np.zeros_like(q)
         grad_out[np.arange(len(actions)), actions] = 2.0 * err / len(actions)
-        grads = backward(qnet, cache, grad_out)
+        grads = backward_ids(qnet, obs, grad_out)
         clip_gradients(grads, hp.grad_clip)
         apply_update(qnet, self.opt, grads)
         self.updates += 1

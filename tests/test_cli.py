@@ -193,6 +193,15 @@ def test_eval_rejects_non_positive_episodes(runner, tmp_path, episodes):
     assert "--episodes" in result.output
 
 
+def test_eval_empty_test_split_fails_in_one_line(runner, tmp_path):
+    ckpt = tmp_path / "ckpt.json"
+    write_checkpoint(ckpt)
+    result = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--config",
+                                  str(write_config(tmp_path, train_fraction=0.9995))])
+    assert_one_error_line(result)
+    assert "empty test split" in result.output
+
+
 def test_validate_bad_catalog_names_the_file(runner, tmp_path):
     catalog = tmp_path / "catalog.json"
     catalog.write_text("[]")

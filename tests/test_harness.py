@@ -223,6 +223,18 @@ def test_evaluation_rejects_a_bad_episode_count(tmp_path, episodes):
             run()
 
 
+def test_evaluation_rejects_an_empty_test_split(tmp_path):
+    cfg = tiny_config(tmp_path, train_fraction=0.9995)  # 504 paths split 504/0
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(ckpt, "dqn", HyperParams(), 0,
+                    {"qnet": net_to_dict(init_mlp([17, 8, 23], LINEAR, 0))})
+    for run in (lambda: evaluate(ckpt, cfg),
+                lambda: evaluate_policy(lambda obs, rng: 0, cfg),
+                lambda: random_baseline(cfg)):
+        with pytest.raises(ConfigError, match="empty test split"):
+            run()
+
+
 # sha256 of EvalReport.write_csv for 300 episodes at seed 7. These reports
 # run no network, so any change to the simulator's draws, their order, or the
 # episode loop's path draws moves them.
@@ -263,19 +275,19 @@ PINNED_TRAINING = {
     ("dqn", "metrics.csv"):
         "4097a2b320ab46cc3bd959dd699b51fb48febb3730a1a340c69c45f71e1ff95d",
     ("dqn", "checkpoint-seed0.json"):
-        "d2d383a1564c45a863d72fef58d62dbc762f006babf6ebc746cff0bea6b9cb08",
+        "c4134abf8458eb485fd38f7d75b4cd3d0c1123ca91b8df19f06484c6d1ec172b",
     ("a2c", "metrics.csv"):
         "4b1062f5b141284e3fd2600d27256aa0ba670155204e8e33b127a86c0f341c61",
     ("a2c", "checkpoint-seed0.json"):
-        "04c12fe53ef5feea9f0c048ff9e4d34825358e621b444565adef9f9b3cdb460d",
+        "fed76aefaffc22bf668ae10d22c8e99c4e9b538ed2d63de60a4cc5f2571fe0a7",
     ("a3c", "metrics.csv"):
         "2c13d9366bf2329c122aaf9938f475aec43b25230db9b9b525b1e266ac66603a",
     ("a3c", "checkpoint-seed0.json"):
-        "3a4e8bf8974ba7b0be3ed4929012dbac43681f985a2cf453ea4359f8dae1f460",
+        "da3837dbf94559cef9a44e025379827c4e0f47aab787174ce7a0e3398a30ace8",
     ("ppo", "metrics.csv"):
         "63864a8346e8dfcd1f78a0d3f5d26fffc4caa1acd9e81df6b277a3382862b3ba",
     ("ppo", "checkpoint-seed0.json"):
-        "6c0f996fc1bc3408644d8515da35c12d049184f7cb1e273a96fee7a612fc04e0",
+        "9d5805e92a93426ac770df9558d911f37467ca5fe16a1afa15a6e636b8aa93cf",
 }
 
 # sha256 of EvalReport.write_csv for 300 episodes at seed 7 of each pinned

@@ -13,9 +13,9 @@ from cyberdefsim.neural_net import (
     SOFTMAX,
     apply_update,
     backward,
+    backward_ids,
     clip_gradients,
     forward,
-    forward_ids,
     forward_table,
     init_mlp,
     input_rows,
@@ -71,14 +71,14 @@ def perturbed_net(width, head, seed, rng):
 def test_table_rows_equal_batch_rows(seed):
     """Rows gathered from forward_table equal a batch forward's, bit for bit.
 
-    Every learner reads its nets through the 17-row table: the Q net and the
-    actor (17-256-256-23) whole, the critic (17-256-256-1) for its hidden
-    rows, in batches of 48 (DQN, A2C, PPO) and 12 (an A3C fragment). So the
-    training artifacts rest on this property of the BLAS's matrix-matrix
-    product. It is known to fail in two places, where no table row may stand
-    in for a forward's: a one-row forward (the matrix-vector path) and the
+    Every learner reads its nets as 17-row tables, at batches of 48 ids
+    (DQN, A2C, PPO) and 12 (an A3C fragment), and trains them through
+    backward_ids over the same rows. So a table row stands for a batch row
+    by this property of the BLAS's matrix-matrix product. It holds for every
+    hidden layer and for the Q net's and the actor's 23-wide outputs. It
+    fails in two places: a one-row forward (the matrix-vector path) and the
     output of a head with one unit, like the critic's, whose last layer is
-    matrix-vector too.
+    matrix-vector too; the critic's values are its table's own.
     """
     rng = np.random.default_rng(seed)
     for width in (23, 1):
@@ -94,20 +94,40 @@ def test_table_rows_equal_batch_rows(seed):
                 assert t[ids].tobytes() == a.tobytes()
 
 
+def dense_and_per_id_gradients(net, ids, rng, from_logits):
+    """backward on a batch forward of the ids' input rows, and backward_ids,
+    for one random output-gradient row per id; both as flat arrays."""
+    grad_rows = rng.normal(size=(len(ids), net.dims[-1]))
+    _, cache = forward(net, input_rows(net, ids))
+    dense = backward(net, cache, grad_rows, from_logits)
+    return dense.flat, backward_ids(net, ids, grad_rows, from_logits).flat
+
+
 @pytest.mark.parametrize("head,width", [(SOFTMAX, 23), (LINEAR, 23), (LINEAR, 1)])
-def test_forward_ids_equals_dense_forward(head, width):
-    """forward_ids is forward on the ids' input rows, bit for bit, for the
-    actor's, the Q net's and the critic's head and each learner's batch."""
+def test_backward_ids_equals_dense_backward(head, width):
+    """backward_ids is backward on the ids' input rows: bit for bit for
+    distinct sorted ids on the actor's and the Q net's 23-wide heads, where
+    no two rows are summed and each table row is the batch row. Repeated ids
+    sum before the backward, not after, and the critic's one-unit head has
+    table rows of other last bits, so those agree within a bound relative to
+    the gradient's largest entry: single entries that cancel to near zero
+    differ by far more than 1e-13 of themselves."""
     for seed in range(10):
         rng = np.random.default_rng(seed)
         net = perturbed_net(width, head, seed, rng)
-        for batch in (12, 32, 48):
-            ids = rng.integers(17, size=batch)
-            got, (acts, logits, _) = forward_ids(net, ids)
-            want, (want_acts, want_logits, _) = forward(net, input_rows(net, ids))
-            assert got.tobytes() == want.tobytes()
-            assert logits.tobytes() == want_logits.tobytes()
-            assert [a.tobytes() for a in acts] == [a.tobytes() for a in want_acts]
+        for from_logits in (False, True):
+            for batch in (5, 12, 17):
+                ids = np.sort(rng.choice(17, size=batch, replace=False))
+                dense, per_id = dense_and_per_id_gradients(net, ids, rng,
+                                                           from_logits)
+                if width > 1:
+                    assert per_id.tobytes() == dense.tobytes()
+                assert np.abs(per_id - dense).max() <= 1e-13 * np.abs(dense).max()
+            for batch in (12, 32, 48):
+                ids = rng.integers(17, size=batch)
+                dense, per_id = dense_and_per_id_gradients(net, ids, rng,
+                                                           from_logits)
+                assert np.abs(per_id - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 def test_softmax_stability_and_log_consistency():
