@@ -168,7 +168,7 @@ def backward_ids(net: Mlp, ids, grad_rows: np.ndarray,
 
 @dataclass
 class OptimizerState:
-    """Adam state; moments and scratch, flat like Mlp.params, made on the first step."""
+    """Adam state; float32 moments and scratch, flat like Mlp.params, made once."""
 
     lr: float = 0.005
     step: int = 0
@@ -182,37 +182,42 @@ class OptimizerState:
 
 
 def apply_update(net: Mlp, opt: OptimizerState, grads: GradientSet) -> None:
-    """One Adam descent step in place; drops the net's table, greedy and cdf.
-
-    Consumes `grads` (overwrites their array). A DivergenceError writes nothing.
-    """
+    """One Adam step in place, in float32 on float32 copies of the gradient and
+    params, written back exactly into the float64 params; drops the net's
+    table, greedy and cdf. A DivergenceError writes nothing."""
     p, g = net.params, grads.flat
     if grads.dims != net.dims or g.shape != p.shape:
         raise ValueError("gradient/parameter shape mismatch")
-    if not np.all(np.isfinite(g)):
-        raise DivergenceError("non-finite gradient")
     if opt.m is None:
-        opt.m, opt.v, opt.scratch = np.zeros_like(p), np.zeros_like(p), np.empty_like(p)
+        opt.m, opt.v = np.zeros((2, p.size), np.float32)
+        opt.scratch = np.empty((3, p.size), np.float32)
+    g32, p32, s = opt.scratch
+    # checked in float32: a finite float64 gradient can overflow the cast, and
+    # a finite float32 one its square, which would leave v infinite for good
+    with np.errstate(over="ignore"):
+        g32[...] = g
+        np.multiply(1 - BETA2, g32, out=s)
+        s *= g32
+    if not np.isfinite(s).all():
+        raise DivergenceError("non-finite gradient")
     opt.step += 1
-    b1c = 1.0 - BETA1 ** opt.step
-    b2c = 1.0 - BETA2 ** opt.step
-    # p -= lr * (m / b1c) / (sqrt(v / b2c) + EPS), one ufunc at a time, with
-    # the spent gradient as the denominator's buffer
-    m, v, s = opt.m, opt.v, opt.scratch
-    m *= BETA1
-    np.multiply(1 - BETA1, g, out=s)
-    m += s
+    b2c = math.sqrt(1.0 - BETA2 ** opt.step)
+    alpha = opt.lr * b2c / (1.0 - BETA1 ** opt.step)
+    # p -= alpha * m / (sqrt(v) + EPS * b2c): the bias corrections folded into
+    # the step size and epsilon (Kingma & Ba 2015, section 2), one ufunc at a time
+    m, v = opt.m, opt.v
     v *= BETA2
-    np.multiply(1 - BETA2, g, out=s)
-    s *= g
     v += s
-    np.divide(v, b2c, out=g)
-    np.sqrt(g, out=g)
-    g += EPS
-    np.divide(m, b1c, out=s)
-    np.multiply(opt.lr, s, out=s)
-    s /= g
-    p -= s
+    m *= BETA1
+    np.multiply(1 - BETA1, g32, out=s)
+    m += s
+    np.sqrt(v, out=s)
+    s += EPS * b2c
+    np.multiply(alpha, m, out=g32)
+    g32 /= s
+    p32[...] = p
+    p32 -= g32
+    p[...] = p32
     net.table = net.greedy = net.cdf = None
 
 

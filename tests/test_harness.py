@@ -275,19 +275,19 @@ PINNED_TRAINING = {
     ("dqn", "metrics.csv"):
         "4097a2b320ab46cc3bd959dd699b51fb48febb3730a1a340c69c45f71e1ff95d",
     ("dqn", "checkpoint-seed0.json"):
-        "c4134abf8458eb485fd38f7d75b4cd3d0c1123ca91b8df19f06484c6d1ec172b",
+        "140f6ee76c35bbcd74f37c65a81b4bc3647136be636eb2aa2aa2e0f5d3ad40fa",
     ("a2c", "metrics.csv"):
         "4b1062f5b141284e3fd2600d27256aa0ba670155204e8e33b127a86c0f341c61",
     ("a2c", "checkpoint-seed0.json"):
-        "fed76aefaffc22bf668ae10d22c8e99c4e9b538ed2d63de60a4cc5f2571fe0a7",
+        "3a0a45cb2e15e167039b0cc3351fd27c9bc063a57b67dad951d847bf53d18da7",
     ("a3c", "metrics.csv"):
         "2c13d9366bf2329c122aaf9938f475aec43b25230db9b9b525b1e266ac66603a",
     ("a3c", "checkpoint-seed0.json"):
-        "da3837dbf94559cef9a44e025379827c4e0f47aab787174ce7a0e3398a30ace8",
+        "c4f2fc51a909708efb6727cadbdff26c795969ac53a3275fabc135b5f72786e9",
     ("ppo", "metrics.csv"):
         "63864a8346e8dfcd1f78a0d3f5d26fffc4caa1acd9e81df6b277a3382862b3ba",
     ("ppo", "checkpoint-seed0.json"):
-        "9d5805e92a93426ac770df9558d911f37467ca5fe16a1afa15a6e636b8aa93cf",
+        "edd5527cea66302bbc3b8691aa23442bd40b551e428a04c61fa2b4293c746544",
 }
 
 # sha256 of EvalReport.write_csv for 300 episodes at seed 7 of each pinned

@@ -1,6 +1,7 @@
 """Unit tests for the MLP substrate: forward, backward, Adam, storage."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -157,7 +158,7 @@ def test_adam_update_moves_parameters():
 
 
 def textbook_adam(params, grads, m, v, step, lr):
-    """Allocating Adam (Kingma & Ba 2015, Algorithm 1) on copies."""
+    """Allocating Adam (Kingma & Ba 2015, Algorithm 1) in float64 on copies."""
     b1, b2, eps = 0.9, 0.999, 1e-8
     m = [b1 * mi + (1 - b1) * g for mi, g in zip(m, grads)]
     v = [b2 * vi + (1 - b2) * g * g for vi, g in zip(v, grads)]
@@ -167,22 +168,51 @@ def textbook_adam(params, grads, m, v, step, lr):
     return params, m, v
 
 
+def folded_adam32(params, grads, m, v, step, lr):
+    """Allocating Adam with the bias corrections folded into the step size
+    and epsilon (Kingma & Ba 2015, section 2, last paragraph), in float32 on
+    float32 copies of the params and gradients; params come back float64."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    alpha = lr * math.sqrt(1.0 - b2 ** step) / (1.0 - b1 ** step)
+    eps_hat = eps * math.sqrt(1.0 - b2 ** step)
+    grads = [g.astype(np.float32) for g in grads]
+    m = [b1 * mi + (1 - b1) * g for mi, g in zip(m, grads)]
+    v = [b2 * vi + (1 - b2) * g * g for vi, g in zip(v, grads)]
+    params = [(p.astype(np.float32) - alpha * mi / (np.sqrt(vi) + eps_hat))
+              .astype(np.float64) for p, mi, vi in zip(params, m, v)]
+    return params, m, v
+
+
 def test_adam_is_bit_equal_to_the_textbook_step():
+    """Bit for bit the folded float32 step, and within float32 precision of
+    the step of the unfolded float64 Adam over all 7 steps."""
     net = init_mlp([5, 7, 3], LINEAR, 2)
     opt = OptimizerState(lr=0.01)
     rng = np.random.default_rng(3)
     params = [p.copy() for p in net.weights + net.biases]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    m = [np.zeros(p.shape, np.float32) for p in params]
+    v = [np.zeros(p.shape, np.float32) for p in params]
+    params64 = params
+    m64 = [np.zeros_like(p) for p in params]
+    v64 = [np.zeros_like(p) for p in params]
     for step in range(1, 8):
         grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 3)
                  for p in params]
-        params, m, v = textbook_adam(params, grads, m, v, step, opt.lr)
+        params, m, v = folded_adam32(params, grads, m, v, step, opt.lr)
+        params64, m64, v64 = textbook_adam(params64, grads, m64, v64, step,
+                                           opt.lr)
         apply_update(net, opt, GradientSet(
             net.dims, np.concatenate([g.ravel() for g in grads])))
         assert opt.step == step
         for got, want in ((net.params, params), (opt.m, m), (opt.v, v)):
             assert got.tobytes() == b"".join(a.tobytes() for a in want)
+        # each step rounds the params to float32 twice (the cast and the
+        # subtraction) and carries float32 error in a step no larger than
+        # lr (1 - b1) / sqrt(1 - b2) (Kingma & Ba 2015, section 2.1)
+        want64 = np.concatenate([p.ravel() for p in params64])
+        max_step = opt.lr * 0.1 / math.sqrt(0.001)
+        bound = step * np.finfo(np.float32).eps * (np.abs(want64) + max_step)
+        assert np.all(np.abs(net.params - want64) <= bound)
 
 
 def test_divergence_in_the_last_gradient_writes_nothing():
@@ -203,6 +233,50 @@ def test_divergence_in_the_last_gradient_writes_nothing():
     assert opt.step == 3
     for got, want in zip((net.params, opt.m, opt.v), before):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("big", [1e39, 1e30])
+def test_a_gradient_that_overflows_float32_raises_and_writes_nothing(big):
+    """A float64-finite gradient whose float32 cast (1e39) or square (1e30)
+    overflows diverges before the step. With clipping off it would otherwise
+    write NaN params, or leave v infinite and the param frozen."""
+    net = init_mlp([4, 6, 2], LINEAR, 1)
+    opt = OptimizerState(lr=0.01)
+    rng = np.random.default_rng(0)
+    apply_update(net, opt, GradientSet(net.dims, rng.normal(size=net.params.shape)))
+    before = [a.copy() for a in (net.params, opt.m, opt.v)]
+    grads = GradientSet(net.dims, rng.normal(size=net.params.shape))
+    grads.d_weights[0][1, 2] = big
+    clip_gradients(grads, 0.0)  # grad_clip <= 0 turns clipping off
+    assert np.isfinite(grads.flat).all()
+    with pytest.raises(DivergenceError):
+        apply_update(net, opt, grads)
+    assert opt.step == 1
+    for got, want in zip((net.params, opt.m, opt.v), before):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_the_step_runs_in_float32_and_the_net_stays_float64():
+    """Only the optimizer is float32. The params stay float64 views, exactly
+    float32 values after a step; the tables and checkpoints stay float64; the
+    optimizer's buffers are made once."""
+    net = init_mlp([17, 16, 23], SOFTMAX, 4)
+    opt = OptimizerState(lr=0.01)
+    rng = np.random.default_rng(5)
+    buffers = None
+    for _ in range(3):
+        apply_update(net, opt, GradientSet(net.dims, rng.normal(size=net.params.shape)))
+        assert net.params.dtype == np.float64
+        assert all(np.shares_memory(a, net.params) for a in net.weights + net.biases)
+        assert (net.params.astype(np.float32).astype(np.float64).tobytes()
+                == net.params.tobytes())
+        assert opt.m.dtype == opt.v.dtype == opt.scratch.dtype == np.float32
+        buffers = buffers or (opt.m, opt.v, opt.scratch)
+        assert all(a is b for a, b in zip(buffers, (opt.m, opt.v, opt.scratch)))
+        out, (activations, logits, probs) = forward_table(net)
+        assert all(a.dtype == np.float64 for a in (out, logits, probs, *activations))
+        assert net_from_dict(net_to_dict(net)).params.tobytes() == net.params.tobytes()
 
 
 def test_non_finite_gradient_raises():
