@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from ..neural_net import (
@@ -18,6 +20,28 @@ from ..neural_net import (
 )
 from .common import (HyperParams, advantage, fragment_returns,
                      sample_policy_action)
+
+
+_critic_thread = None  # (pid, executor): a forked child has no copy of the thread
+
+
+def side_by_side(actor_job, critic_job) -> tuple:
+    """Run critic_job on a second thread, started on first use in each
+    process, while actor_job runs on this one; returns both results. numpy's
+    BLAS and ufunc loops release the GIL, so the two overlap. Returns only
+    once both jobs are done; raises the actor's error first, then the
+    critic's."""
+    global _critic_thread
+    if _critic_thread is None or _critic_thread[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _critic_thread = os.getpid(), ThreadPoolExecutor(
+            1, thread_name_prefix="critic")
+    critic = _critic_thread[1].submit(critic_job)
+    try:
+        actor_out = actor_job()
+    finally:
+        critic.exception()  # waits for the critic, whatever the actor did
+    return actor_out, critic.result()
 
 
 def make_actor_critic(obs_dim: int, n_actions: int, seed, hidden=(256, 256)):
@@ -132,10 +156,12 @@ class A2CTrainer:
             self.env_steps += per_round
 
     def update(self, batches):
-        """One step on the round's fragments, concatenated."""
+        """One step of each net on the round's fragments, concatenated; the
+        advantages come from the critic's table before its step."""
         ids, actions, returns = (np.concatenate(b) for b in zip(*batches))
-        a_grads, c_grads, _ = a2c_gradients(
-            self.actor, self.critic, ids, actions, returns, self.hp
-        )
-        apply_update(self.actor, self.actor_opt, a_grads)
-        apply_update(self.critic, self.critic_opt, c_grads)
+        adv = advantage(returns, forward_table(self.critic)[0][ids, 0])
+        side_by_side(
+            lambda: apply_update(self.actor, self.actor_opt, _policy_gradients(
+                self.actor, ids, actions, adv, self.hp)[0]),
+            lambda: apply_update(self.critic, self.critic_opt, _critic_gradients(
+                self.critic, ids, returns, self.hp.grad_clip)))

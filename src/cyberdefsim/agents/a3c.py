@@ -4,7 +4,8 @@ workers that submit gradients computed on possibly stale snapshots.
 The stock trainer is A2C's round with one submission per worker: all of a
 round's submissions are computed against one server version, then land in a
 seeded order, so each is stale by the number applied before it and runs stay
-bit-reproducible. The server is lock-protected, so thread-based workers
+bit-reproducible. The critic's gradients and steps run beside the actor's, on
+a second thread. The server is lock-protected, so thread-based workers
 (A3CWorker, a3c_worker_step) are also supported.
 """
 
@@ -12,9 +13,10 @@ from __future__ import annotations
 
 import threading
 
-from ..neural_net import Mlp, OptimizerState, apply_update
-from .common import HyperParams
-from .a2c import A2CTrainer, a2c_gradients, collect_fragment
+from ..neural_net import Mlp, OptimizerState, apply_update, forward_table
+from .common import HyperParams, advantage
+from .a2c import (A2CTrainer, _critic_gradients, _policy_gradients,
+                  a2c_gradients, collect_fragment, side_by_side)
 
 
 class ParameterServer:
@@ -39,11 +41,29 @@ class ParameterServer:
         Submissions computed against stale snapshots are applied as-is; that
         staleness is the defining behavior of the asynchronous scheme.
         """
+        return self.submit_round(lambda: [actor_grads],
+                                 lambda: [critic_grads])[0]
+
+    def submit_round(self, actor_grads, critic_grads) -> list[int]:
+        """Atomically apply a round of submissions in order; returns the
+        version after each. `actor_grads` and `critic_grads` return each
+        net's gradients in apply order; under one hold of the lock, each
+        net's are made and applied on a thread of its own (side_by_side)."""
+        def learn(net, opt, make_grads):
+            grads = make_grads()
+            for g in grads:
+                apply_update(net, opt, g)
+            return len(grads)
+
         with self._lock:
-            apply_update(self._actor, self._actor_opt, actor_grads)
-            apply_update(self._critic, self._critic_opt, critic_grads)
-            self.version += 1
-            return self.version
+            n, _ = side_by_side(
+                lambda: learn(self._actor, self._actor_opt, actor_grads),
+                lambda: learn(self._critic, self._critic_opt, critic_grads))
+            versions = []
+            for _ in range(n):
+                self.version += 1
+                versions.append(self.version)
+            return versions
 
 
 class A3CWorker:
@@ -84,8 +104,12 @@ class A3CTrainer(A2CTrainer):
     def update(self, batches):
         # every submission is computed before any lands, so all of them see
         # one server version; staleness comes only from the apply order
-        submissions = [a2c_gradients(self.actor, self.critic, ids, actions,
-                                     returns, self.hp)[:2]
-                       for ids, actions, returns in batches]
-        for i in self.order_rng.permutation(len(submissions)):
-            self.version_history.append(self.server.submit(*submissions[i]))
+        frags = [batches[i] for i in self.order_rng.permutation(len(batches))]
+        values = forward_table(self.critic)[0]
+        advs = [advantage(returns, values[ids, 0]) for ids, _, returns in frags]
+        hp = self.hp
+        self.version_history += self.server.submit_round(
+            lambda: [_policy_gradients(self.actor, ids, actions, adv, hp)[0]
+                     for (ids, actions, _), adv in zip(frags, advs)],
+            lambda: [_critic_gradients(self.critic, ids, returns, hp.grad_clip)
+                     for ids, _, returns in frags])

@@ -6,7 +6,8 @@ import numpy as np
 
 from ..neural_net import Mlp, apply_update, forward_table, log_softmax
 from .common import HyperParams, advantage
-from .a2c import A2CTrainer, _critic_gradients, _policy_gradients
+from .a2c import (A2CTrainer, _critic_gradients, _policy_gradients,
+                  side_by_side)
 
 
 def ppo_gradients(actor: Mlp, ids, actions, advantages, old_logp,
@@ -36,10 +37,14 @@ class PPOTrainer(A2CTrainer):
         _, (_, logits, _) = forward_table(self.actor)
         old_logp = log_softmax(logits[ids])[np.arange(len(actions)), actions]
 
-        for _epoch in range(self.hp.ppo_epochs):
-            grads = ppo_gradients(self.actor, ids, actions, adv, old_logp,
-                                  self.hp)
-            apply_update(self.actor, self.actor_opt, grads)
-            c_grads = _critic_gradients(self.critic, ids, returns,
-                                       self.hp.grad_clip)
-            apply_update(self.critic, self.critic_opt, c_grads)
+        def actor():
+            for _epoch in range(self.hp.ppo_epochs):
+                apply_update(self.actor, self.actor_opt, ppo_gradients(
+                    self.actor, ids, actions, adv, old_logp, self.hp))
+
+        def critic():
+            for _epoch in range(self.hp.ppo_epochs):
+                apply_update(self.critic, self.critic_opt, _critic_gradients(
+                    self.critic, ids, returns, self.hp.grad_clip))
+
+        side_by_side(actor, critic)

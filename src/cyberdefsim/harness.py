@@ -76,6 +76,8 @@ class ExperimentConfig:
         if not (isinstance(self.seeds, list) and self.seeds
                 and all(type(s) is int and s >= 0 for s in self.seeds)):
             raise ConfigError("seeds must be a non-empty list of integers >= 0")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"repeated seed in seeds={self.seeds}")
         for name in ("eval_episodes", "batch_episodes"):
             if type(getattr(self, name)) is not int or getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be an integer >= 1")
@@ -233,7 +235,8 @@ def save_checkpoint(path, algorithm: str, hp: HyperParams, training_step: int,
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_text(json.dumps(doc))
+        with tmp.open("w") as fh:
+            json.dump(doc, fh)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

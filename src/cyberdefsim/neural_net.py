@@ -6,6 +6,7 @@ import base64
 import binascii
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,11 +25,19 @@ class DivergenceError(RuntimeError):
     """Non-finite gradients or parameters: the run has diverged."""
 
 
+@lru_cache
+def _layout(dims: tuple[int, ...]) -> list[tuple[int, int, tuple]]:
+    """(start, stop, shape) in the flat buffer of every weight matrix, then
+    every bias vector."""
+    shapes = list(zip(dims, dims[1:])) + [(b,) for b in dims[1:]]
+    stops = np.cumsum([math.prod(s) for s in shapes]).tolist()
+    return [(stop - math.prod(s), stop, s) for stop, s in zip(stops, shapes)]
+
+
 def _views(flat: np.ndarray, dims: list[int]) -> tuple[list, list]:
     """Weight-matrix and bias-vector views of `flat`: all weights, then all biases."""
-    shapes = list(zip(dims, dims[1:]))
-    parts = np.split(flat, np.cumsum([a * b for a, b in shapes] + dims[1:-1]))
-    return [p.reshape(s) for p, s in zip(parts, shapes)], parts[len(shapes):]
+    parts = [flat[a:b].reshape(s) for a, b, s in _layout(tuple(dims))]
+    return parts[:len(dims) - 1], parts[len(dims) - 1:]
 
 
 @dataclass
@@ -230,7 +239,8 @@ def clip_gradients(grads: GradientSet, max_norm: float) -> float:
 
 
 def _encode(a: np.ndarray) -> str:
-    return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
+    """base64 of the array's little-endian float64 bytes, read in place."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8")).decode("ascii")
 
 
 def _decode(text, shape) -> bytes:

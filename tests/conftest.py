@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from cyberdefsim.agents import a2c, a3c, ppo
 from cyberdefsim.attack_graph import load_graph
 from cyberdefsim.defense import load_catalog
 from cyberdefsim.harness import (
@@ -13,9 +14,23 @@ from cyberdefsim.harness import (
     evaluate,
     train,
 )
+from cyberdefsim.neural_net import apply_update
 
 # 1/50-scale training: full-length batches but minutes, not hours
 DESK = {"epochs": 20, "steps_per_epoch": 2500}
+
+
+@pytest.fixture
+def before_apply_update(monkeypatch):
+    """install(hook): every actor-critic learner's apply_update calls
+    hook(net) first, on the thread that steps the net."""
+    def install(hook):
+        def patched(net, opt, grads):
+            hook(net)
+            return apply_update(net, opt, grads)
+        for module in (a2c, a3c, ppo):
+            monkeypatch.setattr(module, "apply_update", patched)
+    return install
 
 
 @pytest.fixture(scope="session")

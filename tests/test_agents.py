@@ -1,5 +1,10 @@
 """Unit tests for shared agent machinery and the four learners."""
 
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -595,6 +600,47 @@ def test_trainers_step_accounting():
                      obs_dim=2, n_actions=2, hidden=(8,))
     ppo.run(16)
     assert ppo.env_steps == 16
+
+
+@pytest.mark.parametrize("trainer_cls", [A2CTrainer, A3CTrainer, PPOTrainer])
+def test_the_critic_steps_on_a_second_thread(trainer_cls, before_apply_update):
+    hp = HyperParams(rollout_fragment=8, num_workers=2)
+    trainer = trainer_cls([mdp_runner((s, 8)) for s in range(2)], hp, 0,
+                          obs_dim=2, n_actions=2, hidden=(8,))
+    threads = {"actor": [], "critic": []}
+    before_apply_update(lambda net: threads[
+        "critic" if net is trainer.critic else "actor"].append(
+            threading.get_ident()))
+    trainer.run(48)
+    assert threads["actor"] and set(threads["actor"]) == {threading.get_ident()}
+    assert len(threads["critic"]) == len(threads["actor"])
+    assert threading.get_ident() not in threads["critic"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_still_learns():
+    """The child of a fork has no copy of the critic's thread; it must start
+    its own rather than wait on the parent's for good."""
+    hp = HyperParams(rollout_fragment=8, num_workers=2)
+    trainer = A2CTrainer([mdp_runner((s, 9)) for s in range(2)], hp, 0,
+                         obs_dim=2, n_actions=2, hidden=(8,))
+    trainer.run(16)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            trainer.run(16)
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung")
+        time.sleep(0.02)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_a3c_round_equals_snapshot_submissions():

@@ -15,7 +15,8 @@ from cyberdefsim.harness import (
     default_graph_path,
     save_checkpoint,
 )
-from cyberdefsim.neural_net import LINEAR, init_mlp, net_to_dict
+from cyberdefsim.neural_net import (DivergenceError, LINEAR, init_mlp,
+                                   net_to_dict)
 
 
 @pytest.fixture()
@@ -132,6 +133,7 @@ SHORT = {"epochs": 1, "steps_per_epoch": 500}
     {"hyperparams": {**SHORT, "eps_final": float("nan")}},
     {"hyperparams": {**SHORT, "alpha": float("nan")}},
     {"hyperparams": {**SHORT, "double_dqn": "false"}},
+    {"seeds": [1, 1], "hyperparams": SHORT},
 ])
 def test_train_rejects_bad_config_in_one_line(runner, tmp_path, doc):
     config = tmp_path / "config.json"
@@ -139,6 +141,21 @@ def test_train_rejects_bad_config_in_one_line(runner, tmp_path, doc):
     result = runner.invoke(main, ["train", "--config", str(config)])
     assert_one_error_line(result)
     assert "Traceback" not in result.output
+
+
+def test_train_exits_2_when_the_critic_diverges(runner, tmp_path,
+                                                before_apply_update):
+    def diverge(net):
+        if net.dims[-1] == 1:
+            raise DivergenceError("non-finite gradient")
+
+    before_apply_update(diverge)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"algorithm": "a2c", "hyperparams": SHORT,
+                                  "output_dir": str(tmp_path / "run")}))
+    result = runner.invoke(main, ["train", "--config", str(config)])
+    assert result.exit_code == 2
+    assert result.output == "error: training diverged: non-finite gradient\n"
 
 
 def write_checkpoint(path):

@@ -3,7 +3,6 @@
 import csv
 import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +29,8 @@ from cyberdefsim.harness import (
     sweep,
     train,
 )
-from cyberdefsim.neural_net import LINEAR, init_mlp, net_to_dict
+from cyberdefsim.neural_net import (DivergenceError, LINEAR, init_mlp,
+                                   net_to_dict)
 
 TINY = {"epochs": 1, "steps_per_epoch": 600, "eps_decay_steps": 300}
 
@@ -53,6 +53,10 @@ def test_config_validation(tmp_path):
         ExperimentConfig(algorithm="sarsa")
     with pytest.raises(ConfigError):
         ExperimentConfig(seeds=[])
+    # a repeated seed would train twice into one checkpoint and repeat its
+    # rows in metrics.csv
+    with pytest.raises(ConfigError, match="repeated seed"):
+        ExperimentConfig(seeds=[1, 1])
     with pytest.raises(ConfigError):
         ExperimentConfig(graph=str(tmp_path / "missing.json"))
 
@@ -154,13 +158,13 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     path = tmp_path / "checkpoint-seed0.json"
     save_checkpoint(path, "dqn", HyperParams(), 1, {"qnet": net_to_dict(net)})
 
-    def crash_mid_write(self, text):
-        with self.open("w") as fh:
-            fh.write(text[: len(text) // 2])
+    def crash_mid_write(doc, fh):
+        text = json.dumps(doc)
+        fh.write(text[: len(text) // 2])
         raise OSError("disk full")
 
-    # the second save dies halfway through writing its bytes
-    monkeypatch.setattr(Path, "write_text", crash_mid_write)
+    # the second save dies halfway through streaming its bytes
+    monkeypatch.setattr(json, "dump", crash_mid_write)
     with pytest.raises(OSError):
         save_checkpoint(path, "dqn", HyperParams(), 2,
                         {"qnet": net_to_dict(net)})
@@ -170,6 +174,40 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
 
 
 # -- training and evaluation ----------------------------------------------------------
+
+
+def diverging(*nets, raised=None):
+    """A before_apply_update hook: steps of the named nets ("actor",
+    "critic") raise DivergenceError, each noted in `raised` first."""
+    def hook(net):
+        name = "critic" if net.dims[-1] == 1 else "actor"
+        if name in nets:
+            if raised is not None:
+                raised.append(name)
+            raise DivergenceError(f"non-finite {name} gradient")
+    return hook
+
+
+@pytest.mark.parametrize("algorithm", ["a2c", "a3c", "ppo"])
+def test_a_critic_divergence_reaches_the_caller_and_train_runs_again(
+        tmp_path, monkeypatch, before_apply_update, algorithm):
+    cfg = tiny_config(tmp_path, algorithm=algorithm)
+    before_apply_update(diverging("critic"))
+    with pytest.raises(DivergenceError, match="critic"):
+        train(cfg)
+    monkeypatch.undo()
+    run_dir = train(cfg)
+    assert load_checkpoint(run_dir / "checkpoint-seed0.json")["training_step"] == 600
+
+
+@pytest.mark.parametrize("algorithm", ["a2c", "a3c", "ppo"])
+def test_when_both_nets_diverge_the_actor_error_is_raised(
+        tmp_path, before_apply_update, algorithm):
+    raised = []
+    before_apply_update(diverging("actor", "critic", raised=raised))
+    with pytest.raises(DivergenceError, match="actor"):
+        train(tiny_config(tmp_path, algorithm=algorithm))
+    assert sorted(raised) == ["actor", "critic"]
 
 
 def test_train_writes_metrics_and_checkpoints(tmp_path):
