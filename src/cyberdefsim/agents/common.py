@@ -55,6 +55,10 @@ class HyperParams:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        # a buffer that holds fewer transitions than a batch never fills one
+        if self.batch_size > self.replay_capacity:
+            raise ValueError(f"batch_size {self.batch_size} exceeds replay_capacity "
+                             f"{self.replay_capacity}, so DQN would never learn")
 
     def with_overrides(self, **kw) -> "HyperParams":
         return replace(self, **kw)

@@ -11,6 +11,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +62,7 @@ class EnvConfig:
     profile: AdversaryProfile
     reward_model: RewardModel = field(default_factory=RewardModel)
     horizon: int = 64
-    seed: int = 0
+    seed: int | list[int] | np.random.SeedSequence = 0
     risk_mode: str = RISK_RESIDUAL
 
     def __post_init__(self):
@@ -69,10 +70,19 @@ class EnvConfig:
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
         if self.risk_mode not in (RISK_RESIDUAL, RISK_ACTION_AWARE, RISK_INACTIVE):
             raise ValueError(f"unknown risk_mode {self.risk_mode!r}")
+        # the env builds its own PCG64 from the seed; a Generator would be
+        # shared with (and advanced for) its owner
+        if not isinstance(self.seed, np.random.SeedSequence):
+            try:
+                if self.seed is None or isinstance(self.seed, bool):
+                    raise TypeError
+                np.random.SeedSequence(self.seed)
+            except (TypeError, ValueError):
+                raise ValueError("seed must be an int, a list of ints or a "
+                                 f"SeedSequence, got {self.seed!r}") from None
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     observation: int
     reward: float
     done: bool
@@ -133,6 +143,89 @@ def observe(true_state: AttackState, profile: AdversaryProfile, rng,
     return idx
 
 
+_BLOCK = 256  # raw generator outputs read at a time
+
+
+class _RawDraws:
+    """The draws of a numpy PCG64 `Generator`, read from blocks of its raw
+    64-bit output with numpy's own formulas: value for value what per-call
+    `random()` and `integers(n)` would give, in the same order.
+
+    `random()` is the top 53 bits of one output. `integers(n)` runs Lemire's
+    multiply-shift rejection on 32-bit words, as numpy bounds 1 <= n <= 2**32;
+    an output gives its low half, then its high half, which is carried across
+    calls as the bit generator's `has_uint32`/`uinteger`. `sync()` hands the
+    generator back where per-call draws would have left it."""
+
+    __slots__ = ("_gen", "_raw", "_pos", "_has32", "_u32")
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._restart()
+
+    def _restart(self):
+        # the 32-bit carry is read from the generator at the next draw
+        self._raw, self._pos, self._has32, self._u32 = [], 0, None, 0
+
+    def _fill(self) -> int:
+        bits = self._gen.bit_generator
+        if self._has32 is None:
+            state = bits.state
+            self._has32, self._u32 = state["has_uint32"], state["uinteger"]
+        self._raw = bits.random_raw(_BLOCK).tolist()
+        self._pos = 0
+        return self._raw[0]
+
+    def random(self) -> float:
+        try:
+            u = self._raw[self._pos]
+        except IndexError:
+            u = self._fill()
+        self._pos += 1
+        return (u >> 11) * 2.0 ** -53
+
+    def _word(self) -> int:
+        if self._has32 is None:
+            self._fill()
+        if self._has32:
+            self._has32 = 0
+            return self._u32
+        try:
+            u = self._raw[self._pos]
+        except IndexError:
+            u = self._fill()
+        self._pos += 1
+        self._has32, self._u32 = 1, u >> 32
+        return u & 0xFFFFFFFF
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        if not 1 < n <= 1 << 32:
+            raise ValueError(f"n must lie in [1, 2**32], got {n!r}")
+        m = self._word() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._word() * n
+        return m >> 32
+
+    def sync(self) -> np.random.Generator:
+        """The generator, rewound over the unread outputs and holding the
+        carried 32-bit half; the next draw restarts from its state, so draws
+        made on it in between stay in the stream."""
+        if self._has32 is not None:
+            bits = self._gen.bit_generator
+            unread = len(self._raw) - self._pos
+            if unread:
+                bits.advance(-unread)
+            state = bits.state
+            state["has_uint32"], state["uinteger"] = self._has32, self._u32
+            bits.state = state
+            self._restart()
+        return self._gen
+
+
 class CyberDefenseEnv:
     """Single-owner episodic simulator; clone with distinct seeds to parallelize.
 
@@ -143,8 +236,9 @@ class CyberDefenseEnv:
         self.graph = config.graph
         self.catalog = config.catalog
         self.profile = config.profile
-        self.rng = np.random.default_rng(config.seed)
+        self._draws = _RawDraws(np.random.Generator(np.random.PCG64(config.seed)))
         self._path: AttackPath | None = None
+        self._len = 0
         self._position: AttackState | None = None
         self._cursor = 0
         self._failures = 0
@@ -163,6 +257,11 @@ class CyberDefenseEnv:
         self._valid_paths: set[AttackPath] = set()
 
     @property
+    def rng(self) -> np.random.Generator:
+        """The env's numpy generator, synced with the draws made so far."""
+        return self._draws.sync()
+
+    @property
     def observation_dim(self) -> int:
         return self.graph.state_count
 
@@ -174,7 +273,7 @@ class CyberDefenseEnv:
         if path not in self._valid_paths:
             self.graph.validate_path(path)
             self._valid_paths.add(path)
-        self._path = path
+        self._path, self._len = path, len(path)
         self._position = self.graph.initiated
         self._cursor = 0
         self._failures = 0
@@ -187,13 +286,13 @@ class CyberDefenseEnv:
         if self._done:
             raise RuntimeError("step() after episode end; call reset()")
         action = self.catalog.actions[action_id]
-        path, profile = self._path, self.profile
+        path, profile, draws = self._path, self.profile, self._draws
         pre_depth = self._depth[self._position.index]
 
         target_id = path.steps[self._cursor]
         beta = self._beta[action_id][target_id]
         # the skill draw is made only when the defense did not block
-        if self.rng.random() >= beta and attempt(profile, self.rng):
+        if draws.random() >= beta and attempt(profile, draws):
             self._position = self.graph.state_of(target_id)
             self._cursor += 1
         else:
@@ -202,11 +301,11 @@ class CyberDefenseEnv:
             if self._failures >= profile.tau:
                 self._position = self.graph.terminated
 
-        interrupted = sample_interruptions(self.catalog, action, pre_depth, self.rng)
+        interrupted = sample_interruptions(self.catalog, action, pre_depth, draws)
         cost = action_cost(self.catalog, action, interrupted)
 
         self._t += 1
-        if self._cursor >= len(path):
+        if self._cursor >= self._len:
             outcome, p_goal = ADVERSARY_WIN, 1.0
         elif self._failures >= profile.tau:
             outcome, p_goal = DEFENDER_WIN, 0.0
@@ -217,11 +316,11 @@ class CyberDefenseEnv:
                 rho = (1.0 - self._best_block[path.steps[self._cursor]]) * rho
             elif self.config.risk_mode == RISK_ACTION_AWARE:
                 rho = (1.0 - beta) * rho
-            p_goal = compute_p_goal(path, self._cursor,
-                                    profile.tau - self._failures, rho)
+            p_goal = _p_goal(self._len - self._cursor,
+                             profile.tau - self._failures, float(rho))
 
         reward = reward_of_transition(self.config.reward_model, p_goal, outcome, cost)
-        obs = observe(self._position, profile, self.rng, self.graph)
+        obs = observe(self._position, profile, draws, self.graph)
 
         self._done = outcome != ONGOING
         info = {

@@ -59,6 +59,8 @@ def test_hyperparams_validation():
         HyperParams(alpha=0.0)
     with pytest.raises(ValueError):
         HyperParams(eps_final=0.5, eps_initial=0.1)
+    with pytest.raises(ValueError, match="replay_capacity"):
+        HyperParams(replay_capacity=10)  # a batch of 48 would never fill
     with pytest.raises(ValueError):
         HyperParams(rollout_fragment=0)
     for name in ("gamma", "alpha", "eps_initial", "eps_final",

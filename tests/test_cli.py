@@ -119,6 +119,7 @@ SHORT = {"epochs": 1, "steps_per_epoch": 500}
     {"hyperparams": {"epochs": 2.5}},
     {"hyperparams": {"target_sync": 0}},
     {"hyperparams": {"replay_capacity": 0}},
+    {"hyperparams": {"replay_capacity": 10}},  # below batch_size 48
     {"impact": "x"},
     {"horizon": "x"},
     {"train_fraction": "x"},

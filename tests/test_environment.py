@@ -21,6 +21,7 @@ from cyberdefsim.environment import (
     RISK_RESIDUAL,
     RewardModel,
     TRUNCATED,
+    _RawDraws,
     best_block_table,
     compute_p_goal,
     observe,
@@ -320,6 +321,67 @@ def test_step_matches_the_reference_step(graph, catalog, profile, risk_mode,
     assert outcomes[TRUNCATED] and outcomes[ADVERSARY_WIN]
     # seven failures in eight steps: random defense never stops Av3 in time
     assert bool(outcomes[DEFENDER_WIN]) == (profile != "Av3")
+
+
+@pytest.mark.parametrize("carried", [0, 1])
+def test_block_reader_draws_what_the_generator_draws(carried):
+    # the reader must equal per-call Generator draws value for value and leave
+    # the same bit-generator state, uinteger included: the high half of a
+    # 32-bit pair stays in the state after it is used
+    bounds = [1, 2, 15, 23, 403, 2**31 + 1, 2**32]
+    for seed in range(6):
+        want = np.random.Generator(np.random.PCG64(seed))
+        gen = np.random.Generator(np.random.PCG64(seed))
+        if carried:  # start with a 32-bit half held by the bit generator
+            want.integers(15), gen.integers(15)
+        assert gen.bit_generator.state["has_uint32"] == carried
+        draws, pick = _RawDraws(gen), np.random.default_rng(100 + seed)
+        # about 1,500 raw outputs between the state checks: several blocks
+        for stretch in range(3):
+            for _ in range(2500):
+                if pick.random() < 0.4:
+                    assert draws.random() == want.random()
+                else:
+                    n = bounds[int(pick.integers(len(bounds)))]
+                    assert draws.integers(n) == want.integers(n)
+            assert draws.sync().bit_generator.state == want.bit_generator.state
+    with pytest.raises(ValueError):
+        draws.integers(0)
+    with pytest.raises(ValueError):
+        draws.integers(2**32 + 1)
+
+
+def test_outside_draws_on_env_rng_stay_in_the_stream(graph, catalog):
+    cfg = EnvConfig(graph, catalog, profile_by_name("Av2"), seed=23)
+    env, ref = CyberDefenseEnv(cfg), oracles.ReferenceEnv(cfg)
+    paths = graph.enumerate_paths()
+    pick = np.random.default_rng(5)
+    for episode in range(60):
+        path = paths[int(pick.integers(len(paths)))]
+        env.reset(path), ref.reset(path)
+        done, t = False, 0
+        while not done:
+            if (episode + t) % 3 == 0:  # mid-episode, between steps
+                assert env.rng.random() == ref.rng.random()
+                assert env.rng.integers(15) == ref.rng.integers(15)
+            action = int(pick.integers(23))
+            got, want = env.step(action), ref.step(action)
+            assert got == want
+            done, t = got.done, t + 1
+    assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def test_env_builds_its_own_generator_from_the_seed(graph, catalog):
+    for seed in (0, 7, [3, 0xE7A], np.random.SeedSequence([3, 0xE7A])):
+        env = make_env(graph, catalog, seed=seed)
+        assert (env.rng.bit_generator.state
+                == np.random.default_rng(seed).bit_generator.state)
+    # a Generator seed would be shared with its owner and advanced by the env
+    for bad in (np.random.default_rng(1), 1.5, True, None, -1, "x", [1, 2.5]):
+        with pytest.raises(ValueError, match="seed") as err:
+            EnvConfig(graph=graph, catalog=catalog,
+                      profile=profile_by_name("Av1"), seed=bad)
+        assert repr(bad) in str(err.value)
 
 
 def test_step_indexes_action_ids_as_the_catalog_does(graph, catalog):
