@@ -99,10 +99,6 @@ class ReplayBuffer:
     def __len__(self):
         return self._size
 
-    def sample(self, batch_size: int):
-        """Uniform one-step draw: (obs, actions, rewards, next_obs, dones)."""
-        return self.sample_n_step(batch_size, 1, 1.0)[:5]
-
     def sample_n_step(self, batch_size: int, n_steps: int, gamma: float):
         """Uniform draw of windows of up to n_steps consecutive transitions.
 

@@ -136,93 +136,52 @@ def observe(true_state: AttackState, profile: AdversaryProfile, rng,
     """
     if true_state.kind == TERMINATED or rng.random() < profile.obs_accuracy:
         return true_state.index
-    # live states are indices 0..state_count-2; skip the true one
-    idx = int(rng.integers(graph.state_count - 2))
+    # live states are indices 0..state_count-2; skip the true one. int(u*n)
+    # is off an exact uniform integer by at most about n * 2**-53
+    idx = int(rng.random() * (graph.state_count - 2))
     if idx >= true_state.index:
         idx += 1
     return idx
 
 
-_BLOCK = 256  # raw generator outputs read at a time
+_BLOCK = 256  # uniforms read at a time
 
 
-class _RawDraws:
-    """The draws of a numpy PCG64 `Generator`, read from blocks of its raw
-    64-bit output with numpy's own formulas: value for value what per-call
-    `random()` and `integers(n)` would give, in the same order.
+class _UniformDraws:
+    """The `random()` draws of a numpy `Generator`, read from blocks of
+    `Generator.random(_BLOCK)`, which gives the values as many per-call
+    `random()` calls give, in the same order. `sync()` hands the generator
+    back where per-call draws would have left it."""
 
-    `random()` is the top 53 bits of one output. `integers(n)` runs Lemire's
-    multiply-shift rejection on 32-bit words, as numpy bounds 1 <= n <= 2**32;
-    an output gives its low half, then its high half, which is carried across
-    calls as the bit generator's `has_uint32`/`uinteger`. `sync()` hands the
-    generator back where per-call draws would have left it."""
-
-    __slots__ = ("_gen", "_raw", "_pos", "_has32", "_u32")
+    __slots__ = ("_gen", "_block", "_pos")
 
     def __init__(self, gen: np.random.Generator):
-        self._gen = gen
-        self._restart()
-
-    def _restart(self):
-        # the 32-bit carry is read from the generator at the next draw
-        self._raw, self._pos, self._has32, self._u32 = [], 0, None, 0
-
-    def _fill(self) -> int:
-        bits = self._gen.bit_generator
-        if self._has32 is None:
-            state = bits.state
-            self._has32, self._u32 = state["has_uint32"], state["uinteger"]
-        self._raw = bits.random_raw(_BLOCK).tolist()
-        self._pos = 0
-        return self._raw[0]
+        self._gen, self._block, self._pos = gen, [], 0
 
     def random(self) -> float:
         try:
-            u = self._raw[self._pos]
+            u = self._block[self._pos]
         except IndexError:
-            u = self._fill()
+            self._block, self._pos = self._gen.random(_BLOCK).tolist(), 0
+            u = self._block[0]
         self._pos += 1
-        return (u >> 11) * 2.0 ** -53
-
-    def _word(self) -> int:
-        if self._has32 is None:
-            self._fill()
-        if self._has32:
-            self._has32 = 0
-            return self._u32
-        try:
-            u = self._raw[self._pos]
-        except IndexError:
-            u = self._fill()
-        self._pos += 1
-        self._has32, self._u32 = 1, u >> 32
-        return u & 0xFFFFFFFF
-
-    def integers(self, n: int) -> int:
-        if n == 1:
-            return 0
-        if not 1 < n <= 1 << 32:
-            raise ValueError(f"n must lie in [1, 2**32], got {n!r}")
-        m = self._word() * n
-        if m & 0xFFFFFFFF < n:
-            threshold = ((1 << 32) - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = self._word() * n
-        return m >> 32
+        return u
 
     def sync(self) -> np.random.Generator:
-        """The generator, rewound over the unread outputs and holding the
-        carried 32-bit half; the next draw restarts from its state, so draws
-        made on it in between stay in the stream."""
-        if self._has32 is not None:
+        """The generator, rewound over the unread uniforms; the next draw
+        starts a block from its state, so draws made on it in between stay
+        in the stream."""
+        unread = len(self._block) - self._pos
+        if unread:
+            # one 64-bit output per uniform; advance() also drops the 32-bit
+            # half an outside integers() draw may have left, so only the
+            # PCG state is taken from it
             bits = self._gen.bit_generator
-            unread = len(self._raw) - self._pos
-            if unread:
-                bits.advance(-unread)
             state = bits.state
-            state["has_uint32"], state["uinteger"] = self._has32, self._u32
+            bits.advance(-unread)
+            state["state"] = bits.state["state"]
             bits.state = state
-            self._restart()
+        self._block, self._pos = [], 0
         return self._gen
 
 
@@ -236,7 +195,7 @@ class CyberDefenseEnv:
         self.graph = config.graph
         self.catalog = config.catalog
         self.profile = config.profile
-        self._draws = _RawDraws(np.random.Generator(np.random.PCG64(config.seed)))
+        self._draws = _UniformDraws(np.random.Generator(np.random.PCG64(config.seed)))
         self._path: AttackPath | None = None
         self._len = 0
         self._position: AttackState | None = None

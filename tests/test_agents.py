@@ -271,12 +271,12 @@ def test_replay_buffer_ring_and_sampling():
     for i in range(6):
         buf.push(i, i, float(i), i + 1, False)
     assert len(buf) == 4
-    obs, actions, rewards, next_obs, dones = buf.sample(4)
+    obs, actions, rewards, next_obs, dones = buf.sample_n_step(4, 1, 1.0)[:5]
     assert set(actions) <= {2, 3, 4, 5}  # oldest entries overwritten
     assert np.array_equal(obs, actions) and np.array_equal(next_obs, obs + 1)
     assert obs.shape == (4,) and rewards.shape == (4,)
     with pytest.raises(ValueError):
-        buf.sample(5)
+        buf.sample_n_step(5, 1, 1.0)
 
 
 def _windows_by_start(buf, n_steps, gamma):

@@ -21,7 +21,8 @@ from cyberdefsim.environment import (
     RISK_RESIDUAL,
     RewardModel,
     TRUNCATED,
-    _RawDraws,
+    _BLOCK,
+    _UniformDraws,
     best_block_table,
     compute_p_goal,
     observe,
@@ -186,6 +187,47 @@ def test_observe_wrong_reports_are_live_states(graph):
     assert len(seen_wrong) == graph.state_count - 2  # every other live state
 
 
+class _ChosenUniforms:
+    """An rng stand-in that hands out the given uniforms in order."""
+
+    def __init__(self, *uniforms):
+        self.left = list(uniforms)
+
+    def random(self):
+        return self.left.pop(0)
+
+
+def test_observe_wrong_report_is_the_kth_other_live_state(graph):
+    # 0.5 >= obs_accuracy: the first draw misses, and the second, u, picks
+    # the report among the n other live states (never the true one), counted
+    # in index order
+    profile = AdversaryProfile("x", rho=0.5, tau=3, obs_accuracy=0.25)
+    n, grid = graph.state_count - 2, 2**53  # random() returns j / 2**53
+    live = [graph.initiated, *map(graph.state_of, sorted(graph.techniques))]
+    assert [s.index for s in live] == list(range(n + 1))
+
+    def report(state, j):
+        rng = _ChosenUniforms(0.5, j / grid)
+        idx = observe(state, profile, rng, graph)
+        assert not rng.left
+        return idx
+
+    for state in live:
+        others = [s.index for s in live if s != state]
+        for k in range(n):
+            first = -(-k * grid // n)  # first j with j / grid >= k / n
+            last = -(-(k + 1) * grid // n) - 1  # last j below (k + 1) / n
+            for j in (first, first + 1, (first + last) // 2, last - 1):
+                assert report(state, j) == others[k]
+            # int(u * n) rounds u * n first, so the last uniform below a
+            # boundary may report the next state: the n * 2**-53 bias
+            assert report(state, last) in others[k:k + 2]
+        assert report(state, grid - 1) == others[-1]  # u = 1 - 2**-53
+    # terminated is reported exactly, and no draw is made
+    rng = _ChosenUniforms()
+    assert observe(graph.terminated, profile, rng, graph) == graph.terminated.index
+
+
 # -- episode dynamics ----------------------------------------------------------------
 
 
@@ -325,30 +367,26 @@ def test_step_matches_the_reference_step(graph, catalog, profile, risk_mode,
 
 @pytest.mark.parametrize("carried", [0, 1])
 def test_block_reader_draws_what_the_generator_draws(carried):
-    # the reader must equal per-call Generator draws value for value and leave
-    # the same bit-generator state, uinteger included: the high half of a
-    # 32-bit pair stays in the state after it is used
-    bounds = [1, 2, 15, 23, 403, 2**31 + 1, 2**32]
+    # the reader must equal per-call random() draws value for value and leave
+    # the same bit-generator state, uinteger included: random() never uses a
+    # 32-bit half held by the bit generator, and the rewind must keep it
     for seed in range(6):
         want = np.random.Generator(np.random.PCG64(seed))
         gen = np.random.Generator(np.random.PCG64(seed))
         if carried:  # start with a 32-bit half held by the bit generator
             want.integers(15), gen.integers(15)
         assert gen.bit_generator.state["has_uint32"] == carried
-        draws, pick = _RawDraws(gen), np.random.default_rng(100 + seed)
-        # about 1,500 raw outputs between the state checks: several blocks
-        for stretch in range(3):
-            for _ in range(2500):
-                if pick.random() < 0.4:
-                    assert draws.random() == want.random()
-                else:
-                    n = bounds[int(pick.integers(len(bounds)))]
-                    assert draws.integers(n) == want.integers(n)
+        draws = _UniformDraws(gen)
+        # each stretch spans several blocks and stops inside one
+        for stretch in (700, 1000, 301):
+            for _ in range(stretch):
+                assert draws.random() == want.random()
             assert draws.sync().bit_generator.state == want.bit_generator.state
-    with pytest.raises(ValueError):
-        draws.integers(0)
-    with pytest.raises(ValueError):
-        draws.integers(2**32 + 1)
+        # a sync on a block boundary has nothing unread to rewind
+        for _ in range(2 * _BLOCK):
+            assert draws.random() == want.random()
+        assert draws.sync().bit_generator.state == want.bit_generator.state
+        assert draws.random() == want.random()
 
 
 def test_outside_draws_on_env_rng_stay_in_the_stream(graph, catalog):

@@ -278,15 +278,15 @@ def test_evaluation_rejects_an_empty_test_split(tmp_path):
 # episode loop's path draws moves them.
 PINNED_BASELINES = {
     ("random", "Av1"):
-        "1492269e598423f9742fe11d3282771cd47eaf190fb18c42c8e6e9a1dd303f25",
+        "b3e4b7978672887a8928c6ca5c7d496e5d483ce5a72b2327dfb773f94833b1d2",
     ("null", "Av1"):
-        "f9c7c9d0a714fff03a8ed5ade3e6cf02bcb361e69ee6e258ba3c79624787cf66",
+        "b4c66967cb0c1b1ce629e2ca7444b23f0ac13c890a068e9b36aa2dc7d38d2930",
     ("random", "Av2"):
-        "f70eeff083ad97d89f7dbedd9033f7a7835a815bdd36a34feef1027b51f0ca4d",
+        "e4020a0089a4eedf2a6c6621a474aa3706d9f5dcada5fce2e4b4e149a3887310",
     ("null", "Av2"):
-        "df91d453b2d5ee54c8788683c2ae3acb7e63ef37c446ba6e40549c6581042688",
+        "a43f6e12e9beb0c870784b8ed3029505f819e166366d8edf0246cb06605c9bd3",
     ("random", "Av3"):
-        "26bc6ab14f19c68fc7dd18a1eb67e3ccdb7c3ff5cf781a9f727b91c1c663dfea",
+        "362dd638ccd4b07033132763df49c077122d80e2eb79f1367ca1007dd5f47166",
     ("null", "Av3"):
         "362dd638ccd4b07033132763df49c077122d80e2eb79f1367ca1007dd5f47166",
 }
@@ -311,31 +311,31 @@ def test_baseline_reports_are_pinned(tmp_path, kind, profile):
 # the learners' float operations, their order, or the draws moves these.
 PINNED_TRAINING = {
     ("dqn", "metrics.csv"):
-        "4097a2b320ab46cc3bd959dd699b51fb48febb3730a1a340c69c45f71e1ff95d",
+        "e7b4041871b71ae95a89bf288ed5442ede74a62ca0e14a29aac7724daa22802c",
     ("dqn", "checkpoint-seed0.json"):
-        "140f6ee76c35bbcd74f37c65a81b4bc3647136be636eb2aa2aa2e0f5d3ad40fa",
+        "6df9962fa99df9e795ae2fa69d89e3e417f0a90b04abacb0bbaf444dcb7e16a6",
     ("a2c", "metrics.csv"):
-        "4b1062f5b141284e3fd2600d27256aa0ba670155204e8e33b127a86c0f341c61",
+        "d1bd9f5543ec9122949475cf399a264e7e51e0565057cf0919a4c333d5a39d00",
     ("a2c", "checkpoint-seed0.json"):
-        "3a0a45cb2e15e167039b0cc3351fd27c9bc063a57b67dad951d847bf53d18da7",
+        "cabd7b170b07118b93d65f28200e4b8de80794bf7db1cde1c2714f047fd2e4c9",
     ("a3c", "metrics.csv"):
-        "2c13d9366bf2329c122aaf9938f475aec43b25230db9b9b525b1e266ac66603a",
+        "83701e20d63b8b71bbf46c78ef940272ce6a9b2b956a0f765679390f0912b243",
     ("a3c", "checkpoint-seed0.json"):
-        "c4f2fc51a909708efb6727cadbdff26c795969ac53a3275fabc135b5f72786e9",
+        "bacf33e3e0467679abd22bc85986ce22c9c915dce2e923ac830294ecc9d93856",
     ("ppo", "metrics.csv"):
-        "63864a8346e8dfcd1f78a0d3f5d26fffc4caa1acd9e81df6b277a3382862b3ba",
+        "5a1e29221e1a1142d1bbe462b725656ca8eb5fcca14aa94dd6b32a7e4cf5d443",
     ("ppo", "checkpoint-seed0.json"):
-        "edd5527cea66302bbc3b8691aa23442bd40b551e428a04c61fa2b4293c746544",
+        "1fce3c2222673b4fdaf65e21dd077b66578d2f047a2bd32c8bdb53afffd6c882",
 }
 
 # sha256 of EvalReport.write_csv for 300 episodes at seed 7 of each pinned
 # checkpoint: the greedy or mode policy acts through the trained net's
 # forward_table rows, so a change to its input rows or that table moves these.
 PINNED_CHECKPOINT_EVAL = {
-    "dqn": "7db9ee8ad788f4ba470422d362e28f791515971b1bb9605a594003a114025771",
-    "a2c": "cc4cae7ea819b6bdb29122bf88797280812b0f01180edb21c9234d6201ae41f7",
-    "a3c": "7f095239269de939601d46627cb3e946f562b4e39d4edb1fec16a615c2e11bee",
-    "ppo": "3a8f316bd03fb0575c0b025c1a476e67814f6ba59ed82caaa1ca5530d086103e",
+    "dqn": "92c40dadb8fbe12ec7687bcd07c2a0bd26c74b889dede2d58ce66178243ad705",
+    "a2c": "f3178ed50cfb2d9f40910a4f6d29376c9eedf1e65ee2a4c54635a9537b58726d",
+    "a3c": "59cd9a6e200d9ecb458d145cad746c7130a23c15e7016810c8a26bc41d59d6ee",
+    "ppo": "a81c648a5cc5f3c918ee6198af663170b33060bac43714a7aa5208a01dd8fb23",
 }
 
 
