@@ -5,6 +5,13 @@ catalog, and from-scratch deep RL agents (DQN, A2C, A3C, PPO) with a batch
 training/evaluation harness and the `simctl` command line tool.
 """
 
+import os
+
+# BLAS on one thread unless the user set a count: the nets are small and the
+# critic learns on a thread of its own. numpy reads these once, as it loads.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from .adversary import AdversaryProfile, builtin_profiles, profile_by_name
 from .attack_graph import AttackGraph, AttackPath, GraphError, load_graph, split_paths
 from .defense import CatalogError, DefenseCatalog, load_catalog

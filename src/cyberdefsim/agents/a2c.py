@@ -12,6 +12,7 @@ from ..neural_net import (
     Mlp,
     OptimizerState,
     apply_update,
+    as_float32,
     backward_ids,
     clip_gradients,
     forward_table,
@@ -50,7 +51,7 @@ def make_actor_critic(obs_dim: int, n_actions: int, seed, hidden=(256, 256)):
     actor_seed, critic_seed = seq.spawn(2)
     actor = init_mlp([obs_dim, *hidden, n_actions], SOFTMAX, actor_seed)
     critic = init_mlp([obs_dim, *hidden, 1], LINEAR, critic_seed)
-    return actor, critic
+    return as_float32(actor), as_float32(critic)
 
 
 def _critic_gradients(critic: Mlp, ids, returns, grad_clip: float):

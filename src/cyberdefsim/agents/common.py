@@ -175,9 +175,10 @@ def _greedy_actions(net: Mlp) -> list:
 
 
 def sample_policy_action(actor: Mlp, obs, rng) -> int:
-    """Draw from the forward_table row for obs as rng.choice(n, p=probs / probs.sum())."""
+    """Draw from the forward_table row for obs, in float64, as
+    rng.choice(n, p=probs / probs.sum())."""
     if actor.cdf is None:  # Generator.choice's CDF, one row per observation id
-        probs = forward_table(actor)[0]
+        probs = forward_table(actor)[0].astype(np.float64)
         cdf = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
         actor.cdf = cdf / cdf[:, -1:]
     cdf = actor.cdf[obs]

@@ -8,6 +8,7 @@ from ..neural_net import (
     LINEAR,
     OptimizerState,
     apply_update,
+    as_float32,
     backward_ids,
     clip_gradients,
     forward_table,
@@ -38,7 +39,7 @@ class DqnAgent:
         seq = np.random.SeedSequence(seed)
         net_seed, buf_seed, act_seed = seq.spawn(3)
         self.hp = hp
-        self.qnet = init_mlp([obs_dim, *hidden, n_actions], LINEAR, net_seed)
+        self.qnet = as_float32(init_mlp([obs_dim, *hidden, n_actions], LINEAR, net_seed))
         self.target_q, _ = forward_table(self.qnet)
         self.opt = OptimizerState(lr=hp.alpha)
         self.buffer = ReplayBuffer(hp.replay_capacity, np.random.default_rng(buf_seed))

@@ -94,6 +94,11 @@ def init_mlp(dims, head: str, seed) -> Mlp:
     return net
 
 
+def as_float32(net: Mlp) -> Mlp:
+    """A copy of the net with float32 params: how the trainers' nets run."""
+    return Mlp(list(net.dims), net.head, net.params.astype(np.float32))
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -106,14 +111,15 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(net: Mlp, x: np.ndarray):
-    """Run the net; returns (output, cache). Accepts a vector or a batch."""
-    x = np.asarray(x, dtype=float)
+    """Run the net in its params' dtype; returns (output, cache). Accepts a
+    vector or a batch. Zero rows pad the batch to a multiple of 8, so the BLAS
+    computes a row alike in any batch; the cache keeps them, the output not."""
+    x = np.asarray(x, dtype=net.params.dtype)
     squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
+    x = np.atleast_2d(x)
     if x.shape[1] != net.dims[0]:
         raise ValueError(f"input dim {x.shape[1]} != {net.dims[0]}")
-    activations = [x]
+    activations = [np.concatenate([x, np.zeros((-len(x) % 8, x.shape[1]), x.dtype)])]
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         z = activations[-1] @ w
         z += b
@@ -121,7 +127,7 @@ def forward(net: Mlp, x: np.ndarray):
     logits = activations[-1] @ net.weights[-1]
     logits += net.biases[-1]
     out = softmax(logits) if net.head == SOFTMAX else logits
-    return (out[0] if squeeze else out), (activations, logits, out)
+    return (out[0] if squeeze else out[:len(x)]), (activations, logits, out)
 
 
 def input_rows(net: Mlp, ids) -> np.ndarray:
@@ -132,11 +138,11 @@ def input_rows(net: Mlp, ids) -> np.ndarray:
 
 def forward_table(net: Mlp):
     """forward on one row per observation id, kept read-only on the net until
-    apply_update. Its rows equal a batch forward's bit for bit, but not a
-    one-row forward's or a one-unit head's (both run the BLAS's gemv)."""
+    apply_update. Its rows equal any forward's rows for the same ids bit for
+    bit, one-row forwards and one-unit heads included: forward's padding."""
     if net.table is None:
         out, cache = forward(net, input_rows(net, np.arange(net.dims[0])))
-        for a in (out, cache[1], *cache[0]):
+        for a in (out, *cache[0], *cache[1:]):
             a.flags.writeable = False
         net.table = out, cache
     return net.table
@@ -150,9 +156,9 @@ def backward(net: Mlp, cache, grad_out: np.ndarray,
     `from_logits` is set, in which case it is w.r.t. the pre-softmax logits.
     """
     activations, logits, out = cache
-    g = np.asarray(grad_out, dtype=float)
-    if g.ndim == 1:
-        g = g[None, :]
+    g = np.atleast_2d(np.asarray(grad_out, dtype=net.params.dtype))
+    # forward's pad rows take no gradient
+    g = np.concatenate([g, np.zeros((len(out) - len(g), g.shape[1]), g.dtype)])
     if net.head == SOFTMAX and not from_logits:
         p = out
         g = p * (g - (g * p).sum(axis=-1, keepdims=True))
@@ -169,10 +175,12 @@ def backward(net: Mlp, cache, grad_out: np.ndarray,
 def backward_ids(net: Mlp, ids, grad_rows: np.ndarray,
                  from_logits: bool = False) -> GradientSet:
     """backward for a batch of observation ids, with one dLoss/d(output) row
-    per id: the rows summed per id, then backward over forward_table's rows."""
-    g = np.zeros((net.dims[0], net.dims[-1]))
-    np.add.at(g, ids, grad_rows)
-    return backward(net, forward_table(net)[1], g, from_logits)
+    per id: the rows, cast to the table's dtype, summed per id, then backward
+    over forward_table's rows."""
+    cache = forward_table(net)[1]
+    g = np.zeros_like(cache[2])
+    np.add.at(g, ids, np.asarray(grad_rows, g.dtype))
+    return backward(net, cache, g, from_logits)
 
 
 @dataclass
@@ -191,16 +199,16 @@ class OptimizerState:
 
 
 def apply_update(net: Mlp, opt: OptimizerState, grads: GradientSet) -> None:
-    """One Adam step in place, in float32 on float32 copies of the gradient and
-    params, written back exactly into the float64 params; drops the net's
-    table, greedy and cdf. A DivergenceError writes nothing."""
+    """One Adam step on the params in place, taken in float32 on a float32 copy
+    of the gradient; drops the net's table, greedy and cdf. A DivergenceError
+    writes nothing."""
     p, g = net.params, grads.flat
     if grads.dims != net.dims or g.shape != p.shape:
         raise ValueError("gradient/parameter shape mismatch")
     if opt.m is None:
         opt.m, opt.v = np.zeros((2, p.size), np.float32)
-        opt.scratch = np.empty((3, p.size), np.float32)
-    g32, p32, s = opt.scratch
+        opt.scratch = np.empty((2, p.size), np.float32)
+    g32, s = opt.scratch
     # checked in float32: a finite float64 gradient can overflow the cast, and
     # a finite float32 one its square, which would leave v infinite for good
     with np.errstate(over="ignore"):
@@ -224,22 +232,21 @@ def apply_update(net: Mlp, opt: OptimizerState, grads: GradientSet) -> None:
     s += EPS * b2c
     np.multiply(alpha, m, out=g32)
     g32 /= s
-    p32[...] = p
-    p32 -= g32
-    p[...] = p32
+    p -= g32
     net.table = net.greedy = net.cdf = None
 
 
 def clip_gradients(grads: GradientSet, max_norm: float) -> float:
-    """Scale grads in place to a global norm cap; returns the pre-clip norm."""
-    total = math.sqrt(np.square(grads.flat).sum())
+    """Scale grads in place to a global norm cap; returns the pre-clip norm,
+    summed in float64, where a float32 gradient's squares cannot overflow."""
+    total = math.sqrt(np.square(grads.flat, dtype=np.float64).sum())
     if max_norm > 0 and total > max_norm:
         grads.flat *= max_norm / total
     return total
 
 
 def _encode(a: np.ndarray) -> str:
-    """base64 of the array's little-endian float64 bytes, read in place."""
+    """base64 of the array's values as little-endian float64 bytes."""
     return base64.b64encode(np.ascontiguousarray(a, dtype="<f8")).decode("ascii")
 
 
@@ -257,7 +264,8 @@ def _decode(text, shape) -> bytes:
 
 
 def net_to_dict(net: Mlp) -> dict:
-    """Checkpoint v2: JSON layout, each array as base64 of its float64 bytes."""
+    """Checkpoint v2: JSON layout, each array as base64 of its values' float64
+    bytes, which hold a float32 net exactly; net_from_dict makes float64 nets."""
     return {
         "version": CHECKPOINT_VERSION,
         "layer_dims": list(net.dims),

@@ -3,10 +3,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cyberdefsim
 from cyberdefsim import harness
 from cyberdefsim.agents.common import HyperParams
 from cyberdefsim.harness import (
@@ -286,15 +291,22 @@ PINNED_BASELINES = {
     ("null", "Av2"):
         "a43f6e12e9beb0c870784b8ed3029505f819e166366d8edf0246cb06605c9bd3",
     ("random", "Av3"):
-        "362dd638ccd4b07033132763df49c077122d80e2eb79f1367ca1007dd5f47166",
+        "b76db05636f3c691048015ebc827f8a46ab290cc2dddb3f5acccf203741af5f4",
     ("null", "Av3"):
         "362dd638ccd4b07033132763df49c077122d80e2eb79f1367ca1007dd5f47166",
 }
 
 
+# 300 episodes per report, but the random policy's exact DWR on Av3 is
+# 0.0048 and its 300 episodes at seed 7 win none, which is the null policy's
+# report byte for byte; 1,000 episodes win 2
+BASELINE_EPISODES = {("random", "Av3"): 1000}
+
+
 @pytest.mark.parametrize("kind,profile", sorted(PINNED_BASELINES))
 def test_baseline_reports_are_pinned(tmp_path, kind, profile):
-    cfg = ExperimentConfig(profile=profile, eval_episodes=300)
+    cfg = ExperimentConfig(profile=profile,
+                           eval_episodes=BASELINE_EPISODES.get((kind, profile), 300))
     if kind == "random":
         report = random_baseline(cfg, seed=7)
     else:
@@ -305,6 +317,13 @@ def test_baseline_reports_are_pinned(tmp_path, kind, profile):
     assert digest == PINNED_BASELINES[kind, profile]
 
 
+@pytest.mark.parametrize("profile", ["Av1", "Av2", "Av3"])
+def test_random_and_null_baseline_pins_differ(profile):
+    """A random-policy pin that equals the null policy's would miss most
+    changes to the random policy's draws."""
+    assert PINNED_BASELINES["random", profile] != PINNED_BASELINES["null", profile]
+
+
 # sha256 of metrics.csv and checkpoint-seed0.json for a short Av3 run per
 # algorithm. Epsilon decays within the first epoch and the replay ring wraps,
 # so DQN exploits, updates and samples across the ring's seam; any change to
@@ -313,19 +332,19 @@ PINNED_TRAINING = {
     ("dqn", "metrics.csv"):
         "e7b4041871b71ae95a89bf288ed5442ede74a62ca0e14a29aac7724daa22802c",
     ("dqn", "checkpoint-seed0.json"):
-        "6df9962fa99df9e795ae2fa69d89e3e417f0a90b04abacb0bbaf444dcb7e16a6",
+        "b4a32078e3cf8aec19029af96203b85569b44226010e0161dec660d1ad290d5e",
     ("a2c", "metrics.csv"):
         "d1bd9f5543ec9122949475cf399a264e7e51e0565057cf0919a4c333d5a39d00",
     ("a2c", "checkpoint-seed0.json"):
-        "cabd7b170b07118b93d65f28200e4b8de80794bf7db1cde1c2714f047fd2e4c9",
+        "c3abfa1ab9311a7417501da75d1cab75755ce519ffb2d6eda8c32adb3b180b5b",
     ("a3c", "metrics.csv"):
         "83701e20d63b8b71bbf46c78ef940272ce6a9b2b956a0f765679390f0912b243",
     ("a3c", "checkpoint-seed0.json"):
-        "bacf33e3e0467679abd22bc85986ce22c9c915dce2e923ac830294ecc9d93856",
+        "ea379d12b3e14cf62190138b7ab8b8d69980f604f6f3e27e12d1330a9227c699",
     ("ppo", "metrics.csv"):
         "5a1e29221e1a1142d1bbe462b725656ca8eb5fcca14aa94dd6b32a7e4cf5d443",
     ("ppo", "checkpoint-seed0.json"):
-        "1fce3c2222673b4fdaf65e21dd077b66578d2f047a2bd32c8bdb53afffd6c882",
+        "9f6189433b6e12920a67ecf65606ad91de86931ec747b1e099d7f9bc605b8bf8",
 }
 
 # sha256 of EvalReport.write_csv for 300 episodes at seed 7 of each pinned
@@ -402,3 +421,21 @@ def test_sweep_trains_one_value_at_a_time(tmp_path, monkeypatch):
                    "gamma", [0.7, 0.8])
     assert most == 1
     assert [v for v, _, _ in result["results"]] == [0.7, 0.8]
+
+
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_importing_the_package_sets_blas_to_one_thread_unless_set(preset):
+    """Before numpy loads, the package sets both BLAS thread counts to 1
+    where the environment names none; a count the user set stands."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = str(Path(cyberdefsim.__file__).parents[1])
+    if preset:
+        env.update(dict.fromkeys(BLAS_THREADS, preset))
+    code = ("import os, cyberdefsim; "
+            f"print(*(os.environ[k] for k in {BLAS_THREADS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout.split()
+    assert out == [preset or "1"] * 2

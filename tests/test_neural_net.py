@@ -1,5 +1,6 @@
 """Unit tests for the MLP substrate: forward, backward, Adam, storage."""
 
+import base64
 import json
 import math
 
@@ -13,6 +14,7 @@ from cyberdefsim.neural_net import (
     OptimizerState,
     SOFTMAX,
     apply_update,
+    as_float32,
     backward,
     backward_ids,
     clip_gradients,
@@ -25,7 +27,9 @@ from cyberdefsim.neural_net import (
     net_to_dict,
     softmax,
 )
+from cyberdefsim.agents.a2c import make_actor_critic
 from cyberdefsim.agents.common import HyperParams
+from cyberdefsim.agents.dqn import DqnAgent
 from cyberdefsim.harness import load_checkpoint, save_checkpoint
 
 
@@ -70,34 +74,58 @@ def perturbed_net(width, head, seed, rng):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_table_rows_equal_batch_rows(seed):
-    """Rows gathered from forward_table equal a batch forward's, bit for bit.
+    """Rows gathered from forward_table equal a batch forward's, bit for bit,
+    on float64 nets and on the float32 nets the trainers run.
 
     Every learner reads its nets as 17-row tables, at batches of 48 ids
     (DQN, A2C, PPO) and 12 (an A3C fragment), and trains them through
     backward_ids over the same rows. So a table row stands for a batch row
-    by this property of the BLAS's matrix-matrix product. It holds for every
-    hidden layer and for the Q net's and the actor's 23-wide outputs. It
-    fails in two places: a one-row forward (the matrix-vector path) and the
-    output of a head with one unit, like the critic's, whose last layer is
-    matrix-vector too; the critic's values are its table's own.
+    by this property of the BLAS's matrix-matrix product, which forward
+    gets by padding every batch with zero rows to a multiple of 8: unpadded,
+    float32's 17-row table differs in its last row, and one-row forwards and
+    one-unit heads, like the critic's, take the matrix-vector path. It holds
+    for every hidden layer and every head, one-row forwards included.
     """
     rng = np.random.default_rng(seed)
     for width in (23, 1):
-        net = perturbed_net(width, LINEAR, seed, rng)
-        table, (table_acts, _, _) = forward_table(net)
-        for batch in (48, 48, 48, 32, 12):
-            ids = rng.integers(17, size=batch)
-            out, (acts, _, _) = forward(net, input_rows(net, ids))
-            if width > 1:
+        net64 = perturbed_net(width, LINEAR, seed, rng)
+        for net in (net64, as_float32(net64)):
+            table, (table_acts, _, _) = forward_table(net)
+            assert table.shape == (17, width) and table.dtype == net.params.dtype
+            for batch in (48, 48, 48, 32, 12, 1):
+                ids = rng.integers(17, size=batch)
+                out, (acts, _, _) = forward(net, input_rows(net, ids))
+                assert len(out) == batch
                 assert table[ids].tobytes() == out.tobytes()
-            assert len(acts) == len(table_acts) == 3
-            for a, t in zip(acts, table_acts):
-                assert t[ids].tobytes() == a.tobytes()
+                assert len(acts) == len(table_acts) == 3
+                for a, t in zip(acts, table_acts):
+                    assert t[ids].tobytes() == a[:batch].tobytes()
+            for i in range(17):
+                assert forward(net, input_rows(net, i))[0].tobytes() \
+                    == table[i].tobytes()
+
+
+def test_forward_returns_as_many_rows_as_it_was_given():
+    """The output drops forward's zero pad rows; the cache keeps them, a
+    multiple of 8 rows, for backward. A returned pad row would read as an
+    observation's row wherever a caller takes argmax over the output."""
+    for net in (init_mlp([2, 8, 2], LINEAR, 0),
+                as_float32(init_mlp([2, 8, 2], SOFTMAX, 0))):
+        for rows in (1, 2, 7, 8, 9, 17, 48):
+            out, (acts, logits, full) = forward(net, np.ones((rows, 2)))
+            assert out.shape == (rows, 2) and out.dtype == net.params.dtype
+            assert all(len(a) == len(logits) == len(full) == rows + -rows % 8
+                       for a in acts)
+            assert not acts[0][rows:].any()
+            assert full[:rows].tobytes() == out.tobytes()
+        assert forward(net, np.ones(2))[0].shape == (2,)
+        assert len(forward_table(net)[0]) == 2
 
 
 def dense_and_per_id_gradients(net, ids, rng, from_logits):
-    """backward on a batch forward of the ids' input rows, and backward_ids,
-    for one random output-gradient row per id; both as flat arrays."""
+    """backward on a batch forward of the ids' input rows (padded by forward),
+    and backward_ids, for one random output-gradient row per id; both as
+    flat arrays."""
     grad_rows = rng.normal(size=(len(ids), net.dims[-1]))
     _, cache = forward(net, input_rows(net, ids))
     dense = backward(net, cache, grad_rows, from_logits)
@@ -106,29 +134,32 @@ def dense_and_per_id_gradients(net, ids, rng, from_logits):
 
 @pytest.mark.parametrize("head,width", [(SOFTMAX, 23), (LINEAR, 23), (LINEAR, 1)])
 def test_backward_ids_equals_dense_backward(head, width):
-    """backward_ids is backward on the ids' input rows: bit for bit for
-    distinct sorted ids on the actor's and the Q net's 23-wide heads, where
-    no two rows are summed and each table row is the batch row. Repeated ids
-    sum before the backward, not after, and the critic's one-unit head has
-    table rows of other last bits, so those agree within a bound relative to
-    the gradient's largest entry: single entries that cancel to near zero
-    differ by far more than 1e-13 of themselves."""
+    """backward_ids is backward on the ids' input rows, on float64 nets and
+    on the trainers' float32 nets: bit for bit for distinct sorted ids on the
+    actor's and the Q net's 23-wide heads, where no two rows are summed and
+    each table row is the batch row. Repeated ids sum before the backward,
+    not after, and the critic's one-unit head sums its weight gradient in
+    another order, so those agree within a bound relative to the gradient's
+    largest entry, a few units of the dtype's rounding: single entries that
+    cancel to near zero differ by far more than that of themselves."""
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        net = perturbed_net(width, head, seed, rng)
-        for from_logits in (False, True):
-            for batch in (5, 12, 17):
-                ids = np.sort(rng.choice(17, size=batch, replace=False))
-                dense, per_id = dense_and_per_id_gradients(net, ids, rng,
-                                                           from_logits)
-                if width > 1:
-                    assert per_id.tobytes() == dense.tobytes()
-                assert np.abs(per_id - dense).max() <= 1e-13 * np.abs(dense).max()
-            for batch in (12, 32, 48):
-                ids = rng.integers(17, size=batch)
-                dense, per_id = dense_and_per_id_gradients(net, ids, rng,
-                                                           from_logits)
-                assert np.abs(per_id - dense).max() <= 1e-13 * np.abs(dense).max()
+        net64 = perturbed_net(width, head, seed, rng)
+        for net, bound in ((net64, 1e-13), (as_float32(net64), 1e-5)):
+            for from_logits in (False, True):
+                for batch in (5, 12, 17):
+                    ids = np.sort(rng.choice(17, size=batch, replace=False))
+                    dense, per_id = dense_and_per_id_gradients(net, ids, rng,
+                                                               from_logits)
+                    assert per_id.dtype == net.params.dtype
+                    if width > 1:
+                        assert per_id.tobytes() == dense.tobytes()
+                    assert np.abs(per_id - dense).max() <= bound * np.abs(dense).max()
+                for batch in (12, 32, 48):
+                    ids = rng.integers(17, size=batch)
+                    dense, per_id = dense_and_per_id_gradients(net, ids, rng,
+                                                               from_logits)
+                    assert np.abs(per_id - dense).max() <= bound * np.abs(dense).max()
 
 
 def test_softmax_stability_and_log_consistency():
@@ -171,28 +202,29 @@ def textbook_adam(params, grads, m, v, step, lr):
 def folded_adam32(params, grads, m, v, step, lr):
     """Allocating Adam with the bias corrections folded into the step size
     and epsilon (Kingma & Ba 2015, section 2, last paragraph), in float32 on
-    float32 copies of the params and gradients; params come back float64."""
+    float32 params and float32 copies of the gradients."""
     b1, b2, eps = 0.9, 0.999, 1e-8
     alpha = lr * math.sqrt(1.0 - b2 ** step) / (1.0 - b1 ** step)
     eps_hat = eps * math.sqrt(1.0 - b2 ** step)
     grads = [g.astype(np.float32) for g in grads]
     m = [b1 * mi + (1 - b1) * g for mi, g in zip(m, grads)]
     v = [b2 * vi + (1 - b2) * g * g for vi, g in zip(v, grads)]
-    params = [(p.astype(np.float32) - alpha * mi / (np.sqrt(vi) + eps_hat))
-              .astype(np.float64) for p, mi, vi in zip(params, m, v)]
+    params = [p - alpha * mi / (np.sqrt(vi) + eps_hat)
+              for p, mi, vi in zip(params, m, v)]
     return params, m, v
 
 
 def test_adam_is_bit_equal_to_the_textbook_step():
-    """Bit for bit the folded float32 step, and within float32 precision of
-    the step of the unfolded float64 Adam over all 7 steps."""
-    net = init_mlp([5, 7, 3], LINEAR, 2)
+    """On a float32 net, as the trainers run it: bit for bit the folded
+    float32 step, and within float32 precision of the step of the unfolded
+    float64 Adam over all 7 steps."""
+    net = as_float32(init_mlp([5, 7, 3], LINEAR, 2))
     opt = OptimizerState(lr=0.01)
     rng = np.random.default_rng(3)
     params = [p.copy() for p in net.weights + net.biases]
     m = [np.zeros(p.shape, np.float32) for p in params]
     v = [np.zeros(p.shape, np.float32) for p in params]
-    params64 = params
+    params64 = [p.astype(np.float64) for p in params]
     m64 = [np.zeros_like(p) for p in params]
     v64 = [np.zeros_like(p) for p in params]
     for step in range(1, 8):
@@ -206,8 +238,8 @@ def test_adam_is_bit_equal_to_the_textbook_step():
         assert opt.step == step
         for got, want in ((net.params, params), (opt.m, m), (opt.v, v)):
             assert got.tobytes() == b"".join(a.tobytes() for a in want)
-        # each step rounds the params to float32 twice (the cast and the
-        # subtraction) and carries float32 error in a step no larger than
+        # each step rounds the params to float32 once (the subtraction) and
+        # carries float32 error in a step no larger than
         # lr (1 - b1) / sqrt(1 - b2) (Kingma & Ba 2015, section 2.1)
         want64 = np.concatenate([p.ravel() for p in params64])
         max_step = opt.lr * 0.1 / math.sqrt(0.001)
@@ -236,17 +268,21 @@ def test_divergence_in_the_last_gradient_writes_nothing():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("big", [1e39, 1e30])
-def test_a_gradient_that_overflows_float32_raises_and_writes_nothing(big):
+@pytest.mark.parametrize("big,net32", [(1e39, False), (1e30, False), (1e30, True)],
+                         ids=["1e+39", "1e+30", "1e+30-float32-net"])
+def test_a_gradient_that_overflows_float32_raises_and_writes_nothing(big, net32):
     """A float64-finite gradient whose float32 cast (1e39) or square (1e30)
-    overflows diverges before the step. With clipping off it would otherwise
-    write NaN params, or leave v infinite and the param frozen."""
+    overflows diverges before the step, and so does a float32 net's finite
+    gradient whose square overflows (1e30). With clipping off it would
+    otherwise write NaN params, or leave v infinite and the param frozen."""
     net = init_mlp([4, 6, 2], LINEAR, 1)
+    net = as_float32(net) if net32 else net
     opt = OptimizerState(lr=0.01)
     rng = np.random.default_rng(0)
     apply_update(net, opt, GradientSet(net.dims, rng.normal(size=net.params.shape)))
     before = [a.copy() for a in (net.params, opt.m, opt.v)]
-    grads = GradientSet(net.dims, rng.normal(size=net.params.shape))
+    grads = GradientSet(net.dims, rng.normal(size=net.params.shape)
+                        .astype(net.params.dtype))
     grads.d_weights[0][1, 2] = big
     clip_gradients(grads, 0.0)  # grad_clip <= 0 turns clipping off
     assert np.isfinite(grads.flat).all()
@@ -257,26 +293,35 @@ def test_a_gradient_that_overflows_float32_raises_and_writes_nothing(big):
         assert got.tobytes() == want.tobytes()
 
 
-def test_the_step_runs_in_float32_and_the_net_stays_float64():
-    """Only the optimizer is float32. The params stay float64 views, exactly
-    float32 values after a step; the tables and checkpoints stay float64; the
-    optimizer's buffers are made once."""
-    net = init_mlp([17, 16, 23], SOFTMAX, 4)
-    opt = OptimizerState(lr=0.01)
+def test_the_trainers_nets_are_float32_end_to_end():
+    """The trainers' nets run in float32: params, gradients, tables, Adam's
+    moments and scratch, each made once; init_mlp's nets stay float64. A
+    checkpoint holds float64 bytes and round-trips a float32 net exactly."""
+    agent = DqnAgent(17, 23, HyperParams(), 0, hidden=(16,))
+    actor, critic = make_actor_critic(17, 23, 0, hidden=(16,))
+    assert init_mlp([17, 16, 23], LINEAR, 0).params.dtype == np.float64
     rng = np.random.default_rng(5)
-    buffers = None
-    for _ in range(3):
-        apply_update(net, opt, GradientSet(net.dims, rng.normal(size=net.params.shape)))
-        assert net.params.dtype == np.float64
-        assert all(np.shares_memory(a, net.params) for a in net.weights + net.biases)
-        assert (net.params.astype(np.float32).astype(np.float64).tobytes()
-                == net.params.tobytes())
-        assert opt.m.dtype == opt.v.dtype == opt.scratch.dtype == np.float32
-        buffers = buffers or (opt.m, opt.v, opt.scratch)
-        assert all(a is b for a, b in zip(buffers, (opt.m, opt.v, opt.scratch)))
-        out, (activations, logits, probs) = forward_table(net)
-        assert all(a.dtype == np.float64 for a in (out, logits, probs, *activations))
-        assert net_from_dict(net_to_dict(net)).params.tobytes() == net.params.tobytes()
+    for net in (agent.qnet, actor, critic):
+        opt = OptimizerState(lr=0.01)
+        buffers = None
+        for _ in range(3):
+            assert net.params.dtype == np.float32
+            assert all(np.shares_memory(a, net.params) for a in net.weights + net.biases)
+            out, (activations, logits, probs) = forward_table(net)
+            assert all(a.dtype == np.float32 for a in (out, logits, probs, *activations))
+            grads = backward_ids(net, rng.integers(17, size=48),
+                                 rng.normal(size=(48, net.dims[-1])))
+            assert grads.flat.dtype == np.float32
+            apply_update(net, opt, grads)
+            assert opt.m.dtype == opt.v.dtype == opt.scratch.dtype == np.float32
+            buffers = buffers or (opt.m, opt.v, opt.scratch)
+            assert all(a is b for a, b in zip(buffers, (opt.m, opt.v, opt.scratch)))
+            doc = json.loads(json.dumps(net_to_dict(net)))
+            assert len(base64.b64decode(doc["weights"][0])) == 8 * net.weights[0].size
+            clone = net_from_dict(doc)
+            assert clone.params.dtype == np.float64
+            assert clone.params.astype(np.float32).tobytes() == net.params.tobytes()
+            assert as_float32(clone).params.tobytes() == net.params.tobytes()
 
 
 def test_non_finite_gradient_raises():
@@ -296,6 +341,17 @@ def test_clip_gradients():
     g2 = GradientSet([2, 2], np.array([3.0] * 4 + [0.0] * 2))
     clip_gradients(g2, max_norm=0.0)
     assert np.array_equal(g2.d_weights[0], np.full((2, 2), 3.0))
+
+
+def test_a_float32_gradient_clips_by_its_float64_norm():
+    """The norm of a float32 gradient is summed in float64: squares of 1e20
+    overflow float32, and an infinite norm would scale the step to zero."""
+    g = GradientSet([2, 2], np.full(6, 1e20, np.float32))
+    norm = clip_gradients(g, max_norm=40.0)
+    assert norm == pytest.approx(1e20 * math.sqrt(6), rel=1e-6)
+    assert g.flat.dtype == np.float32
+    assert np.isfinite(g.flat).all() and g.flat.all()
+    assert np.sqrt(np.square(g.flat, dtype=np.float64).sum()) == pytest.approx(40.0, rel=1e-6)
 
 
 def test_serialization_roundtrip(tmp_path):
