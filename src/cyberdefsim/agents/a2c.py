@@ -14,7 +14,6 @@ from ..neural_net import (
     apply_update,
     as_float32,
     backward_ids,
-    clip_gradients,
     forward_table,
     init_mlp,
     log_softmax,
@@ -54,20 +53,18 @@ def make_actor_critic(obs_dim: int, n_actions: int, seed, hidden=(256, 256)):
     return as_float32(actor), as_float32(critic)
 
 
-def _critic_gradients(critic: Mlp, ids, returns, grad_clip: float):
-    """Clipped gradient of the mean squared error of the values at
-    observation ids to `returns`."""
+def _critic_gradients(critic: Mlp, ids, returns):
+    """Unclipped gradient of the mean squared error of the values at
+    observation ids to `returns`; Adam's step clips it."""
     values = forward_table(critic)[0][ids, 0]
-    grads = backward_ids(critic, ids,
-                         (2.0 * (values - returns) / len(returns))[:, None])
-    clip_gradients(grads, grad_clip)
-    return grads
+    return backward_ids(critic, ids,
+                        (2.0 * (values - returns) / len(returns))[:, None])
 
 
 def _policy_gradients(actor: Mlp, ids, actions, coeff, hp: HyperParams):
-    """Clipped gradient of -mean(coeff * logpi(a)) - entropy_coef * mean(H)
-    at observation ids, `coeff` held constant; returns (grads,
-    log-probabilities, entropies)."""
+    """Unclipped gradient of -mean(coeff * logpi(a)) - entropy_coef * mean(H)
+    at observation ids, `coeff` held constant (Adam's step clips it); returns
+    (grads, log-probabilities, entropies)."""
     n = len(actions)
     _, (_, logits, probs) = forward_table(actor)
     probs = probs[ids]
@@ -78,17 +75,16 @@ def _policy_gradients(actor: Mlp, ids, actions, coeff, hp: HyperParams):
     grad_logits *= coeff[:, None]
     grad_logits += hp.entropy_coef * probs * (logp + ent[:, None])
     grad_logits /= n
-    grads = backward_ids(actor, ids, grad_logits, from_logits=True)
-    clip_gradients(grads, hp.grad_clip)
-    return grads, logp, ent
+    return backward_ids(actor, ids, grad_logits, from_logits=True), logp, ent
 
 
 def a2c_gradients(actor: Mlp, critic: Mlp, ids, actions, returns, hp: HyperParams):
-    """Clipped actor/critic loss gradients at observation ids; plus loss statistics."""
+    """Unclipped actor/critic loss gradients at observation ids (Adam's step
+    clips them); plus loss statistics."""
     values = forward_table(critic)[0][ids, 0]
     adv = advantage(returns, values)
     actor_grads, logp, ent = _policy_gradients(actor, ids, actions, adv, hp)
-    critic_grads = _critic_gradients(critic, ids, returns, hp.grad_clip)
+    critic_grads = _critic_gradients(critic, ids, returns)
 
     chosen_logp = logp[np.arange(len(actions)), actions]
     stats = {
@@ -133,8 +129,8 @@ class A2CTrainer:
         net_seed, sample_seed, order_seed = seq.spawn(3)
         self.actor, self.critic = make_actor_critic(obs_dim, n_actions, net_seed,
                                                     hidden)
-        self.actor_opt = OptimizerState(lr=hp.alpha)
-        self.critic_opt = OptimizerState(lr=hp.alpha)
+        self.actor_opt = OptimizerState(lr=hp.alpha, max_norm=hp.grad_clip)
+        self.critic_opt = OptimizerState(lr=hp.alpha, max_norm=hp.grad_clip)
         self.sample_rngs = self.sampling_streams(sample_seed, len(runners))
         self.order_rng = np.random.default_rng(order_seed)
         self.env_steps = 0
@@ -165,4 +161,4 @@ class A2CTrainer:
             lambda: apply_update(self.actor, self.actor_opt, _policy_gradients(
                 self.actor, ids, actions, adv, self.hp)[0]),
             lambda: apply_update(self.critic, self.critic_opt, _critic_gradients(
-                self.critic, ids, returns, self.hp.grad_clip)))
+                self.critic, ids, returns)))

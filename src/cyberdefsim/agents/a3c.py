@@ -20,13 +20,14 @@ from .a2c import (A2CTrainer, _critic_gradients, _policy_gradients,
 
 
 class ParameterServer:
-    """Authoritative parameter copy with a strictly increasing version."""
+    """Authoritative parameter copy with a strictly increasing version; its
+    Adam steps clip each submission to grad_clip as they apply it."""
 
     def __init__(self, actor: Mlp, critic: Mlp, hp: HyperParams):
         self._actor = actor
         self._critic = critic
-        self._actor_opt = OptimizerState(lr=hp.alpha)
-        self._critic_opt = OptimizerState(lr=hp.alpha)
+        self._actor_opt = OptimizerState(lr=hp.alpha, max_norm=hp.grad_clip)
+        self._critic_opt = OptimizerState(lr=hp.alpha, max_norm=hp.grad_clip)
         self._lock = threading.Lock()
         self.version = 0
 
@@ -111,5 +112,5 @@ class A3CTrainer(A2CTrainer):
         self.version_history += self.server.submit_round(
             lambda: [_policy_gradients(self.actor, ids, actions, adv, hp)[0]
                      for (ids, actions, _), adv in zip(frags, advs)],
-            lambda: [_critic_gradients(self.critic, ids, returns, hp.grad_clip)
+            lambda: [_critic_gradients(self.critic, ids, returns)
                      for ids, _, returns in frags])

@@ -119,21 +119,19 @@ class ReplayBuffer:
         # step k is taken while no earlier step was done or the newest entry
         ends = self._dones[window] | (window == newest)
         taken = ~np.logical_or.accumulate(ends[:, :-1], axis=1)
-        rewards = self._rewards[window]
-        returns, discounts = rewards[:, 0], [gamma]
-        for k in range(1, n_steps):
-            returns = np.where(taken[:, k - 1],
-                               returns + discounts[-1] * rewards[:, k], returns)
-            discounts.append(discounts[-1] * gamma)
-        extra = taken.sum(axis=1)
-        lasts = window[np.arange(batch_size), extra]
+        # gamma**k by repeated products; the k-step return is the running sum
+        # of discounted rewards, added left to right, read after its last step
+        powers = np.cumprod(np.r_[1.0, np.full(n_steps, gamma)])
+        sums = np.add.accumulate(self._rewards[window] * powers[:-1], axis=1)
+        rows, extra = np.arange(batch_size), taken.sum(axis=1)
+        lasts = window[rows, extra]
         return (
             self._obs[starts],
             self._actions[starts],
-            returns,
+            sums[rows, extra],
             self._next_obs[lasts],
             self._dones[lasts],
-            np.asarray(discounts)[extra],
+            powers[extra + 1],
         )
 
 

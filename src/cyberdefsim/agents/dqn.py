@@ -9,8 +9,7 @@ from ..neural_net import (
     OptimizerState,
     apply_update,
     as_float32,
-    backward_ids,
-    clip_gradients,
+    backward,
     forward_table,
     init_mlp,
 )
@@ -41,7 +40,7 @@ class DqnAgent:
         self.hp = hp
         self.qnet = as_float32(init_mlp([obs_dim, *hidden, n_actions], LINEAR, net_seed))
         self.target_q, _ = forward_table(self.qnet)
-        self.opt = OptimizerState(lr=hp.alpha)
+        self.opt = OptimizerState(lr=hp.alpha, max_norm=hp.grad_clip)
         self.buffer = ReplayBuffer(hp.replay_capacity, np.random.default_rng(buf_seed))
         self.act_rng = np.random.default_rng(act_seed)
         self.env_steps = 0
@@ -68,20 +67,19 @@ def dqn_update(agent: DqnAgent, buffer: ReplayBuffer, hp: HyperParams) -> float:
 
     Targets bootstrap after up to rollout_fragment steps of stored rewards,
     the horizon the actor-critic learners take their returns over. The
-    batch and the double-Q pick read the online net's forward_table.
+    batch and the double-Q pick read the online net's forward_table; Adam's
+    step clips the gradient to grad_clip.
     """
     obs, actions, returns, next_obs, dones, discounts = buffer.sample_n_step(
         hp.batch_size, hp.rollout_fragment, hp.gamma)
-    table, _ = forward_table(agent.qnet)
+    table, cache = forward_table(agent.qnet)
     targets = dqn_targets(table[next_obs], agent.target_q[next_obs], returns,
                           dones, discounts, hp.double_dqn)
     err = table[obs, actions] - targets
     loss = float(np.mean(err ** 2))
-    grad_out = np.zeros((len(actions), table.shape[1]))
-    grad_out[np.arange(len(actions)), actions] = 2.0 * err / len(actions)
-    grads = backward_ids(agent.qnet, obs, grad_out)
-    clip_gradients(grads, hp.grad_clip)
-    apply_update(agent.qnet, agent.opt, grads)
+    g = np.zeros_like(cache[2])  # dLoss/dQ, nonzero only at each (obs, action)
+    np.add.at(g, (obs, actions), (2.0 * err / len(actions)).astype(g.dtype))
+    apply_update(agent.qnet, agent.opt, backward(agent.qnet, cache, g))
     agent.updates += 1
     if agent.updates % hp.target_sync == 0:
         agent.target_q, _ = forward_table(agent.qnet)

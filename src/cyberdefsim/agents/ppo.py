@@ -45,6 +45,6 @@ class PPOTrainer(A2CTrainer):
         def critic():
             for _epoch in range(self.hp.ppo_epochs):
                 apply_update(self.critic, self.critic_opt, _critic_gradients(
-                    self.critic, ids, returns, self.hp.grad_clip))
+                    self.critic, ids, returns))
 
         side_by_side(actor, critic)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import binascii
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -185,9 +186,11 @@ def backward_ids(net: Mlp, ids, grad_rows: np.ndarray,
 
 @dataclass
 class OptimizerState:
-    """Adam state; float32 moments and scratch, flat like Mlp.params, made once."""
+    """Adam state; float32 moments and scratch, flat like Mlp.params, made once.
+    `max_norm` caps each gradient's global norm (<= 0: no cap)."""
 
     lr: float = 0.005
+    max_norm: float = 0.0
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -196,26 +199,41 @@ class OptimizerState:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
+        if isinstance(self.max_norm, bool) or not isinstance(self.max_norm, numbers.Real) \
+                or not math.isfinite(self.max_norm):
+            raise ValueError(f"max_norm must be a finite number, got {self.max_norm!r}")
 
 
 def apply_update(net: Mlp, opt: OptimizerState, grads: GradientSet) -> None:
-    """One Adam step on the params in place, taken in float32 on a float32 copy
-    of the gradient; drops the net's table, greedy and cdf. A DivergenceError
-    writes nothing."""
+    """Clip grads in place to opt.max_norm, then take one Adam step on the
+    params in place, in float32; drops the net's table, greedy and cdf. A
+    DivergenceError writes nothing to the net or opt."""
     p, g = net.params, grads.flat
     if grads.dims != net.dims or g.shape != p.shape:
         raise ValueError("gradient/parameter shape mismatch")
     if opt.m is None:
         opt.m, opt.v = np.zeros((2, p.size), np.float32)
         opt.scratch = np.empty((2, p.size), np.float32)
-    g32, s = opt.scratch
-    # checked in float32: a finite float64 gradient can overflow the cast, and
-    # a finite float32 one its square, which would leave v infinite for good
-    with np.errstate(over="ignore"):
-        g32[...] = g
-        np.multiply(1 - BETA2, g32, out=s)
-        s *= g32
-    if not np.isfinite(s).all():
+    t, s = opt.scratch
+    g32 = g if g.dtype == np.float32 else t  # a float32 gradient is read in place
+    cap = opt.max_norm
+
+    def squares():
+        # in float32: a finite float64 gradient can overflow the cast, and a
+        # finite float32 one its square, which would leave v infinite for good
+        with np.errstate(over="ignore"):
+            if g32 is t:
+                t[...] = g
+            np.multiply(1 - BETA2, g32, out=s)
+            np.multiply(s, g32, out=s)
+            return float(s.sum()) if cap > 0 else math.nan  # no cap: no proof
+
+    # a float32 sum of the squares 1e-3 under the cap's, less room for subnormal
+    # rounding, proves the exact norm under the cap and every square finite
+    unproven = not squares() < (1 - BETA2) * (1 - 1e-3) * cap * cap - p.size * 2.0 ** -148
+    if unproven and cap > 0 and clip_gradients(grads, cap) > cap:
+        squares()
+    if unproven and not math.isfinite(s.max()):
         raise DivergenceError("non-finite gradient")
     opt.step += 1
     b2c = math.sqrt(1.0 - BETA2 ** opt.step)
@@ -230,9 +248,9 @@ def apply_update(net: Mlp, opt: OptimizerState, grads: GradientSet) -> None:
     m += s
     np.sqrt(v, out=s)
     s += EPS * b2c
-    np.multiply(alpha, m, out=g32)
-    g32 /= s
-    p -= g32
+    np.multiply(alpha, m, out=t)
+    t /= s
+    p -= t
     net.table = net.greedy = net.cdf = None
 
 

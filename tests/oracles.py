@@ -6,6 +6,7 @@ package internals, so agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +26,11 @@ from cyberdefsim.environment import (
     reward_of_transition,
 )
 from cyberdefsim.neural_net import (
-    apply_update,
+    BETA1,
+    BETA2,
+    EPS,
+    DivergenceError,
     backward_ids,
-    clip_gradients,
     forward,
     input_rows,
 )
@@ -249,6 +252,40 @@ class ScalarReplay:
         )
 
 
+# -- gradient clip, then Adam ---------------------------------------------------
+
+
+def clip_then_adam(net, opt, grads, max_norm: float) -> None:
+    """Global-norm clipping (Pascanu et al. 2013), then one Adam step with
+    its bias corrections folded into the step size and epsilon (Kingma & Ba
+    2015, section 2), as two separate passes over allocated temporaries.
+
+    The clip scales `grads` in place when its float64 norm exceeds a positive
+    `max_norm`. Adam runs in float32 on a float32 copy of the gradient and
+    checks every (1 - beta2) g**2 term before writing anything, raising
+    DivergenceError on a non-finite one. Reads and writes `opt`'s lr, step, m
+    and v, never its max_norm or scratch; drops the net's forward table.
+    """
+    total = math.sqrt(np.square(grads.flat, dtype=np.float64).sum())
+    if max_norm > 0 and total > max_norm:
+        grads.flat *= max_norm / total
+    p = net.params
+    if opt.m is None:
+        opt.m, opt.v = np.zeros((2, p.size), np.float32)
+    with np.errstate(over="ignore"):
+        g32 = grads.flat.astype(np.float32)
+        sq = (1 - BETA2) * g32 * g32
+    if not np.isfinite(sq).all():
+        raise DivergenceError("non-finite gradient")
+    opt.step += 1
+    b2c = math.sqrt(1.0 - BETA2 ** opt.step)
+    alpha = opt.lr * b2c / (1.0 - BETA1 ** opt.step)
+    opt.v[...] = BETA2 * opt.v + sq
+    opt.m[...] = BETA1 * opt.m + (1 - BETA1) * g32
+    p -= alpha * opt.m / (np.sqrt(opt.v) + EPS * b2c)
+    net.table = net.greedy = net.cdf = None
+
+
 # -- DQN update, three batch forwards -------------------------------------------
 
 
@@ -260,7 +297,8 @@ class ReferenceDqn:
     taken every `target_sync` updates (Mnih et al. 2015; van Hasselt et al.
     2016). It runs on the package's net substrate (its per-id backward
     included) and replay buffer, so agreement checks how the package's
-    update gathers its batch, not those.
+    update gathers its batch, not those. It clips, then steps, with
+    clip_then_adam, and so ignores `opt.max_norm`.
     """
 
     def __init__(self, qnet, opt, buffer, hp):
@@ -286,9 +324,8 @@ class ReferenceDqn:
         err = q[np.arange(len(actions)), actions] - targets
         grad_out = np.zeros_like(q)
         grad_out[np.arange(len(actions)), actions] = 2.0 * err / len(actions)
-        grads = backward_ids(qnet, obs, grad_out)
-        clip_gradients(grads, hp.grad_clip)
-        apply_update(qnet, self.opt, grads)
+        clip_then_adam(qnet, self.opt, backward_ids(qnet, obs, grad_out),
+                       hp.grad_clip)
         self.updates += 1
         if self.updates % hp.target_sync == 0:
             self.target_net = qnet.copy()

@@ -336,6 +336,30 @@ def test_n_step_return_and_discount_for_k_steps():
         assert last_next == k and not done
 
 
+def test_n_step_returns_keep_the_sign_of_zero():
+    """Windows of -0.0 and +0.0 rewards, cut early at a done and at the
+    newest entry: -0.0 + -0.0 stays -0.0, and a +0.0 in the window makes
+    the return +0.0, as in the scalar walk."""
+    rewards = [-0.0, -0.0, -0.0, 0.0, -0.0, -0.0]
+    dones = [False, True, False, False, True, False]
+    buf = ReplayBuffer(16, np.random.default_rng(0))
+    ref = oracles.ScalarReplay(16, np.random.default_rng(0))
+    for i, (r, d) in enumerate(zip(rewards, dones)):
+        buf.push(i, 0, r, i + 1, d)
+        ref.push(i, 0, r, i + 1, d)
+    for _ in range(20):
+        for a, b in zip(buf.sample_n_step(6, 4, 0.5), ref.sample_n_step(6, 4, 0.5)):
+            assert a.tobytes() == b.tobytes()
+    got = _windows_by_start(buf, 4, 0.5)
+    # start: (signbit of the return, last next_obs, done, discount)
+    want = {0: (True, 2, True, 0.25), 1: (True, 2, True, 0.5),
+            2: (False, 5, True, 0.125), 3: (False, 5, True, 0.25),
+            4: (True, 5, True, 0.5), 5: (True, 6, False, 0.5)}
+    assert {i: (bool(np.signbit(r)), n, d, disc)
+            for i, (r, n, d, disc) in got.items()} == want
+    assert all(r == 0.0 for r, *_ in got.values())
+
+
 @pytest.mark.parametrize("capacity,pushes", [(37, 100), (64, 30)])
 def test_n_step_windows_match_the_scalar_oracle(capacity, pushes):
     """Every output bit-equal to the per-sample walk, signs of zeros included,

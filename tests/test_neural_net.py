@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from cyberdefsim import neural_net
 from cyberdefsim.neural_net import (
     DivergenceError,
     GradientSet,
@@ -352,6 +354,118 @@ def test_a_float32_gradient_clips_by_its_float64_norm():
     assert g.flat.dtype == np.float32
     assert np.isfinite(g.flat).all() and g.flat.all()
     assert np.sqrt(np.square(g.flat, dtype=np.float64).sum()) == pytest.approx(40.0, rel=1e-6)
+
+
+# gradient norms as multiples of the cap: a float32 rounding either side of
+# it, either side of the pre-check's margin (squares 1e-3 under the cap's)
+# and of the norm at that margin, far under and far over
+FOLD_SCALES = (1 - 1e-7, 1 + 1e-7, 1 - 0.9e-3, 1 - 1.1e-3,
+               math.sqrt(1 - 1e-3) * (1 - 1e-6), math.sqrt(1 - 1e-3),
+               math.sqrt(1 - 1e-3) * (1 + 1e-6), 0.5, 1e-3, 2.0, 1e3)
+# the stock cap, small caps whose gradients' squares underflow float32 (1e-30)
+# or are themselves subnormal (1e-39), one whose squares overflow, and no cap
+FOLD_CAPS = (40.0, 1.0, 1e-3, 1e-30, 1e-39, 1e30, 0.0, -1.0)
+FOLD_KINDS = ("norm", "norm", "norm", "overflow", "subnormal", "non-finite")
+
+
+def _fold_gradient(rng, n, dtype, kind, cap):
+    g = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2, size=n)
+    if kind == "norm":
+        scale = FOLD_SCALES[rng.integers(len(FOLD_SCALES))]
+        g *= (cap if cap > 0 else 40.0) * scale / math.sqrt(np.square(g).sum())
+    elif kind == "overflow":  # the square, or the float32 cast, overflows
+        g[rng.integers(n)] = rng.choice([1e20, 1e30] if dtype == np.float32
+                                        else [1e20, 1e30, 1e39])
+    elif kind == "subnormal":  # subnormal in float32
+        g *= 10.0 ** rng.uniform(-44, -39)
+    else:
+        g[rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+    return g.astype(dtype)
+
+
+def _step_or_diverge(step, *args) -> bool:
+    try:
+        step(*args)
+    except DivergenceError:
+        return True
+    return False
+
+
+def test_the_clip_folded_into_adam_equals_clip_then_adam():
+    """apply_update with max_norm is, byte for byte on the params, m, v and
+    the gradient, the clip of clip_gradients followed by the Adam step
+    (oracles.clip_then_adam): on float32 and float64 nets, at norms on either
+    side of the cap and of the pre-check's margin, on squares that overflow
+    float32, subnormal gradients and non-finite ones, with and without a
+    cap. A DivergenceError writes nothing to the net or the moments."""
+    rng = np.random.default_rng(2023)
+    outcomes = {"clipped": 0, "diverged": 0, "stepped": 0}
+    for case in range(3000):
+        dtype = (np.float32, np.float64)[case % 2]
+        cap = FOLD_CAPS[case // 2 % len(FOLD_CAPS)]
+        kind = FOLD_KINDS[case // 16 % len(FOLD_KINDS)]
+        net = init_mlp([int(d) for d in rng.integers(1, 7, size=rng.integers(2, 4))],
+                       LINEAR, case)
+        net = as_float32(net) if dtype == np.float32 else net
+        ref = net.copy()
+        opt, ref_opt = OptimizerState(lr=0.01, max_norm=cap), OptimizerState(lr=0.01)
+        warmup = [rng.normal(size=net.params.size) for _ in range(rng.integers(3))]
+        for g in [*warmup, _fold_gradient(rng, net.params.size, dtype, kind, cap)]:
+            g = g.astype(dtype)
+            grads, ref_grads = (GradientSet(net.dims, g.copy()) for _ in range(2))
+            before = net.params.copy()
+            with np.errstate(invalid="ignore"):  # an infinite norm scales inf by 0
+                diverged = _step_or_diverge(apply_update, net, opt, grads)
+                assert diverged == _step_or_diverge(oracles.clip_then_adam, ref,
+                                                    ref_opt, ref_grads, cap)
+            assert opt.step == ref_opt.step
+            for got, want in ((net.params, ref.params), (opt.m, ref_opt.m),
+                              (opt.v, ref_opt.v), (grads.flat, ref_grads.flat)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            if diverged:
+                assert net.params.tobytes() == before.tobytes()
+                break
+        outcomes["diverged" if diverged else
+                 "clipped" if not np.array_equal(grads.flat, g) else "stepped"] += 1
+    assert min(outcomes.values()) > 300, outcomes
+
+
+def test_only_a_gradient_near_the_cap_reaches_the_exact_clip(monkeypatch):
+    """A gradient whose float32 sum of squares is far under the cap's steps
+    without clip_gradients' float64 norm; one inside the pre-check's 1e-3
+    margin, or over the cap, is clipped by it; no cap never calls it."""
+    calls = []
+    clip = neural_net.clip_gradients
+    monkeypatch.setattr(neural_net, "clip_gradients",
+                        lambda grads, cap: calls.append(cap) or clip(grads, cap))
+    rng = np.random.default_rng(1)
+    for net in (as_float32(init_mlp([17, 16, 23], LINEAR, 0)),
+                init_mlp([17, 16, 23], LINEAR, 0)):
+        for cap, ratio, want in ((40.0, 1e-3, 0), (40.0, 0.5, 0), (40.0, 0.999, 0),
+                                 (40.0, 1 - 1e-4, 1), (40.0, 3.0, 1),
+                                 (0.0, 3.0, 0), (-1.0, 3.0, 0)):
+            g = rng.normal(size=net.params.size)
+            g *= 40.0 * ratio / math.sqrt(np.square(g).sum())
+            grads = GradientSet(net.dims, g.astype(net.params.dtype))
+            before = grads.flat.copy()
+            calls.clear()
+            apply_update(net, OptimizerState(lr=0.01, max_norm=cap), grads)
+            assert len(calls) == want, (cap, ratio)
+            assert np.array_equal(grads.flat, before) == (cap <= 0 or ratio < 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, False,
+                                 "40", None, 1j], ids=repr)
+def test_a_bad_max_norm_is_rejected(bad):
+    """NaN would switch the cap off unseen: no sum is less than NaN, and no
+    norm greater."""
+    with pytest.raises(ValueError, match="max_norm"):
+        OptimizerState(max_norm=bad)
+
+
+def test_a_finite_real_max_norm_is_accepted():
+    for cap in (0, 0.0, -1.0, 40, 40.0, np.float32(40.0), np.int64(3)):
+        assert OptimizerState(max_norm=cap).max_norm == cap
 
 
 def test_serialization_roundtrip(tmp_path):
