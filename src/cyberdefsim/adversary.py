@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 
@@ -19,12 +20,13 @@ class AdversaryProfile:
     obs_accuracy: float
 
     def __post_init__(self):
-        if not 0 < self.rho <= 1:
-            raise ValueError(f"rho must lie in (0,1], got {self.rho}")
+        for name in ("rho", "obs_accuracy"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not 0 < value <= 1:
+                raise ValueError(f"{name} must be a number in (0,1], got {value!r}")
         if type(self.tau) is not int or self.tau < 1:
             raise ValueError(f"tau must be an integer >= 1, got {self.tau!r}")
-        if not 0 < self.obs_accuracy <= 1:
-            raise ValueError(f"obs_accuracy must lie in (0,1], got {self.obs_accuracy}")
 
 
 def builtin_profiles() -> list[AdversaryProfile]:

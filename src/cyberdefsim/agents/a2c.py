@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -23,25 +24,6 @@ from .common import (HyperParams, advantage, fragment_returns,
 
 
 _critic_thread = None  # (pid, executor): a forked child has no copy of the thread
-
-
-def side_by_side(actor_job, critic_job) -> tuple:
-    """Run critic_job on a second thread, started on first use in each
-    process, while actor_job runs on this one; returns both results. numpy's
-    BLAS and ufunc loops release the GIL, so the two overlap. Returns only
-    once both jobs are done; raises the actor's error first, then the
-    critic's."""
-    global _critic_thread
-    if _critic_thread is None or _critic_thread[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-        _critic_thread = os.getpid(), ThreadPoolExecutor(
-            1, thread_name_prefix="critic")
-    critic = _critic_thread[1].submit(critic_job)
-    try:
-        actor_out = actor_job()
-    finally:
-        critic.exception()  # waits for the critic, whatever the actor did
-    return actor_out, critic.result()
 
 
 def make_actor_critic(obs_dim: int, n_actions: int, seed, hidden=(256, 256)):
@@ -113,10 +95,71 @@ def collect_fragment(runner, actor: Mlp, critic: Mlp, hp: HyperParams, rng):
     return np.asarray(obs_l), np.asarray(act_l), returns
 
 
+class ParameterServer:
+    """Authoritative parameter copy with a strictly increasing version; its
+    Adam steps clip each submission to grad_clip as they apply it."""
+
+    def __init__(self, actor: Mlp, critic: Mlp, hp: HyperParams):
+        self._actor = actor
+        self._critic = critic
+        self._actor_opt = OptimizerState(lr=hp.alpha, max_norm=hp.grad_clip)
+        self._critic_opt = OptimizerState(lr=hp.alpha, max_norm=hp.grad_clip)
+        self._lock = threading.Lock()
+        self.version = 0
+
+    def snapshot(self):
+        """Consistent (version, actor, critic) copy of a single version."""
+        with self._lock:
+            return self.version, self._actor.copy(), self._critic.copy()
+
+    def submit(self, actor_grads, critic_grads) -> int:
+        """Atomically apply one gradient submission; returns the new version.
+
+        Submissions computed against stale snapshots are applied as-is; that
+        staleness is the defining behavior of the asynchronous scheme.
+        """
+        return self.submit_round(lambda: [actor_grads],
+                                 lambda: [critic_grads])[0]
+
+    def submit_round(self, actor_grads, critic_grads) -> list[int]:
+        """Atomically apply a round of submissions in order; returns the
+        version after each. `actor_grads` and `critic_grads` return each
+        net's gradients in apply order: a list is made before any step lands,
+        an iterator makes each after the previous one has landed.
+
+        Under one hold of the lock, the critic's are made and applied on a
+        second thread, started on first use in each process, while the
+        actor's run on this one; numpy's BLAS and ufunc loops release the
+        GIL, so the two overlap. Returns only once both are done; raises the
+        actor's error first, then the critic's."""
+        def learn(net, opt, make_grads):
+            n = 0
+            for n, g in enumerate(make_grads(), 1):
+                apply_update(net, opt, g)
+            return n
+
+        global _critic_thread
+        with self._lock:
+            if _critic_thread is None or _critic_thread[0] != os.getpid():
+                from concurrent.futures import ThreadPoolExecutor
+                _critic_thread = os.getpid(), ThreadPoolExecutor(
+                    1, thread_name_prefix="critic")
+            critic = _critic_thread[1].submit(learn, self._critic,
+                                              self._critic_opt, critic_grads)
+            try:
+                n = learn(self._actor, self._actor_opt, actor_grads)
+            finally:
+                critic.exception()  # waits for the critic, whatever the actor did
+            critic.result()
+            self.version += n
+            return list(range(self.version - n + 1, self.version + 1))
+
+
 class A2CTrainer:
     """num_workers fragment collectors feeding one synchronous learner.
 
-    A3C and PPO differ from A2C only in update() and sampling_streams().
+    Every round lands through one ParameterServer. A3C and PPO differ from
+    A2C only in submissions(), update() and sampling_streams().
     """
 
     def __init__(self, runners, hp: HyperParams, seed,
@@ -129,8 +172,7 @@ class A2CTrainer:
         net_seed, sample_seed, order_seed = seq.spawn(3)
         self.actor, self.critic = make_actor_critic(obs_dim, n_actions, net_seed,
                                                     hidden)
-        self.actor_opt = OptimizerState(lr=hp.alpha, max_norm=hp.grad_clip)
-        self.critic_opt = OptimizerState(lr=hp.alpha, max_norm=hp.grad_clip)
+        self.server = ParameterServer(self.actor, self.critic, hp)
         self.sample_rngs = self.sampling_streams(sample_seed, len(runners))
         self.order_rng = np.random.default_rng(order_seed)
         self.env_steps = 0
@@ -152,13 +194,20 @@ class A2CTrainer:
             ])
             self.env_steps += per_round
 
-    def update(self, batches):
-        """One step of each net on the round's fragments, concatenated; the
-        advantages come from the critic's table before its step."""
-        ids, actions, returns = (np.concatenate(b) for b in zip(*batches))
-        adv = advantage(returns, forward_table(self.critic)[0][ids, 0])
-        side_by_side(
-            lambda: apply_update(self.actor, self.actor_opt, _policy_gradients(
-                self.actor, ids, actions, adv, self.hp)[0]),
-            lambda: apply_update(self.critic, self.critic_opt, _critic_gradients(
-                self.critic, ids, returns)))
+    def submissions(self, batches) -> list:
+        """The round's submissions in apply order: one, every fragment
+        concatenated."""
+        return [tuple(np.concatenate(b) for b in zip(*batches))]
+
+    def update(self, batches) -> list[int]:
+        """One server step of each net per submission, every gradient made
+        before any step lands; the advantages come from the critic's table
+        before its first step. Returns the server version after each."""
+        subs = self.submissions(batches)
+        values = forward_table(self.critic)[0]
+        advs = [advantage(returns, values[ids, 0]) for ids, _, returns in subs]
+        return self.server.submit_round(
+            lambda: [_policy_gradients(self.actor, ids, actions, adv, self.hp)[0]
+                     for (ids, actions, _), adv in zip(subs, advs)],
+            lambda: [_critic_gradients(self.critic, ids, returns)
+                     for ids, _, returns in subs])

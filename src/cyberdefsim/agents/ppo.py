@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..neural_net import Mlp, apply_update, forward_table, log_softmax
+from ..neural_net import Mlp, forward_table, log_softmax
 from .common import HyperParams, advantage
-from .a2c import (A2CTrainer, _critic_gradients, _policy_gradients,
-                  side_by_side)
+from .a2c import A2CTrainer, _critic_gradients, _policy_gradients
 
 
 def ppo_gradients(actor: Mlp, ids, actions, advantages, old_logp,
@@ -30,21 +29,18 @@ class PPOTrainer(A2CTrainer):
         """One action-sampling stream shared by every worker."""
         return [np.random.default_rng(seed)] * n
 
-    def update(self, batches):
-        ids, actions, returns = (np.concatenate(b) for b in zip(*batches))
+    def update(self, batches) -> list[int]:
+        """ppo_epochs server steps of each net on the round's fragments,
+        concatenated; each epoch's gradients are made after the previous
+        epoch's step has landed."""
+        [(ids, actions, returns)] = self.submissions(batches)
         adv = advantage(returns, forward_table(self.critic)[0][ids, 0])
         # from the logits the first epoch reads, so its ratios are exactly 1
         _, (_, logits, _) = forward_table(self.actor)
         old_logp = log_softmax(logits[ids])[np.arange(len(actions)), actions]
-
-        def actor():
-            for _epoch in range(self.hp.ppo_epochs):
-                apply_update(self.actor, self.actor_opt, ppo_gradients(
-                    self.actor, ids, actions, adv, old_logp, self.hp))
-
-        def critic():
-            for _epoch in range(self.hp.ppo_epochs):
-                apply_update(self.critic, self.critic_opt, _critic_gradients(
-                    self.critic, ids, returns))
-
-        side_by_side(actor, critic)
+        epochs = range(self.hp.ppo_epochs)
+        return self.server.submit_round(
+            lambda: (ppo_gradients(self.actor, ids, actions, adv, old_logp,
+                                   self.hp) for _ in epochs),
+            lambda: (_critic_gradients(self.critic, ids, returns)
+                     for _ in epochs))

@@ -260,6 +260,8 @@ def split_paths(paths, train_fraction: float, seed: int):
         raise ValueError(f"train_fraction must lie in (0,1), got {train_fraction}")
     if not paths:
         raise ValueError("no paths to split")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"split seed must be an integer >= 0, got {seed!r}")
     order = np.random.default_rng(seed).permutation(len(paths))
     n_train = int(np.floor(train_fraction * len(paths) + 0.5))
     train = [paths[i] for i in order[:n_train]]

@@ -131,18 +131,12 @@ def forward(net: Mlp, x: np.ndarray):
     return (out[0] if squeeze else out[:len(x)]), (activations, logits, out)
 
 
-def input_rows(net: Mlp, ids) -> np.ndarray:
-    """The net's float input for observation ids: one one-hot row per id,
-    or a single row for a scalar id."""
-    return np.eye(net.dims[0])[ids]
-
-
 def forward_table(net: Mlp):
     """forward on one row per observation id, kept read-only on the net until
     apply_update. Its rows equal any forward's rows for the same ids bit for
     bit, one-row forwards and one-unit heads included: forward's padding."""
     if net.table is None:
-        out, cache = forward(net, input_rows(net, np.arange(net.dims[0])))
+        out, cache = forward(net, np.eye(net.dims[0]))
         for a in (out, *cache[0], *cache[1:]):
             a.flags.writeable = False
         net.table = out, cache

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from cyberdefsim.agents import a2c, a3c, ppo
+from cyberdefsim.agents import a2c
 from cyberdefsim.attack_graph import load_graph
 from cyberdefsim.defense import load_catalog
 from cyberdefsim.harness import (
@@ -23,13 +23,13 @@ DESK = {"epochs": 20, "steps_per_epoch": 2500}
 @pytest.fixture
 def before_apply_update(monkeypatch):
     """install(hook): every actor-critic learner's apply_update calls
-    hook(net) first, on the thread that steps the net."""
+    hook(net) first, on the thread that steps the net. Every A2C, A3C and
+    PPO step lands through ParameterServer.submit_round, in a2c."""
     def install(hook):
         def patched(net, opt, grads):
             hook(net)
             return apply_update(net, opt, grads)
-        for module in (a2c, a3c, ppo):
-            monkeypatch.setattr(module, "apply_update", patched)
+        monkeypatch.setattr(a2c, "apply_update", patched)
     return install
 
 

@@ -32,7 +32,6 @@ from cyberdefsim.neural_net import (
     DivergenceError,
     backward_ids,
     forward,
-    input_rows,
 )
 
 
@@ -311,7 +310,7 @@ class ReferenceDqn:
         obs, actions, returns, next_obs, dones, discounts = (
             self.buffer.sample_n_step(hp.batch_size, hp.rollout_fragment,
                                       hp.gamma))
-        next_rows = input_rows(qnet, next_obs)
+        next_rows = np.eye(qnet.dims[0])[next_obs]
         q_target, _ = forward(self.target_net, next_rows)
         if hp.double_dqn:
             q_online, _ = forward(qnet, next_rows)
@@ -320,7 +319,7 @@ class ReferenceDqn:
             pick = np.argmax(q_target, axis=1)
         bootstrap = q_target[np.arange(len(pick)), pick]
         targets = returns + discounts * bootstrap * ~dones
-        q, _ = forward(qnet, input_rows(qnet, obs))
+        q, _ = forward(qnet, np.eye(qnet.dims[0])[obs])
         err = q[np.arange(len(actions)), actions] - targets
         grad_out = np.zeros_like(q)
         grad_out[np.arange(len(actions)), actions] = 2.0 * err / len(actions)

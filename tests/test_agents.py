@@ -11,6 +11,7 @@ import pytest
 import oracles
 from cyberdefsim.agents.a2c import (
     A2CTrainer,
+    _critic_gradients,
     a2c_gradients,
     collect_fragment,
     make_actor_critic,
@@ -40,7 +41,6 @@ from cyberdefsim.neural_net import (
     forward,
     forward_table,
     init_mlp,
-    input_rows,
     log_softmax,
 )
 
@@ -101,7 +101,7 @@ def test_act_epsilon_greedy_scale_invariance():
 
 def dense_table(net):
     """forward over every observation id, computed afresh."""
-    return forward(net, input_rows(net, np.arange(net.dims[0])))[0]
+    return forward(net, np.eye(net.dims[0]))[0]
 
 
 def uncached_argmax(net, obs, rng):
@@ -119,22 +119,6 @@ def uncached_sample(actor, obs, rng):
     return int(rng.choice(len(probs), p=probs / probs.sum()))
 
 
-def test_input_rows_are_one_hot():
-    net = init_mlp([17, 4, 23], LINEAR, 0)
-
-    def one_hot(i):
-        v = np.zeros(17)
-        v[i] = 1.0
-        return v
-
-    assert input_rows(net, 5).tobytes() == one_hot(5).tobytes()
-    ids = np.arange(17)[::-1]  # as many ids as the width: still 17 rows
-    rows = input_rows(net, ids)
-    assert rows.shape == (17, 17)
-    assert rows.tobytes() == np.stack([one_hot(i) for i in ids]).tobytes()
-    assert input_rows(net, [3, 3]).shape == (2, 17)
-
-
 def test_forward_table_hit_is_the_same_read_only_arrays():
     for head in (LINEAR, SOFTMAX):
         net = init_mlp([17, 16, 23], head, 4)
@@ -146,8 +130,7 @@ def test_forward_table_hit_is_the_same_read_only_arrays():
         assert hit is first and out.base is cached_out
         for a in (out, cached_out, logits, *acts):
             assert not a.flags.writeable
-        dense, (dense_acts, dense_logits, _) = forward(
-            net, input_rows(net, np.arange(17)))
+        dense, (dense_acts, dense_logits, _) = forward(net, np.eye(17))
         assert out.tobytes() == dense.tobytes()
         assert logits.tobytes() == dense_logits.tobytes()
         assert all(a.tobytes() == d.tobytes() for a, d in zip(acts, dense_acts))
@@ -415,7 +398,7 @@ def test_one_step_window_matches_dqn_targets():
 
     assert np.array_equal(
         dqn_targets(*q_rows(np.eye(3)[next_obs]), rewards, dones, 0.9, True),
-        dqn_targets(*q_rows(input_rows(qnet, w_next)), returns, w_dones,
+        dqn_targets(*q_rows(np.eye(qnet.dims[0])[w_next]), returns, w_dones,
                     discounts, True),
     )
 
@@ -572,7 +555,7 @@ def test_ppo_ratio_one_at_old_policy():
     hp = HyperParams(entropy_coef=0.0, ppo_clip=0.2)
     rng = np.random.default_rng(0)
     ids = rng.integers(2, size=16)
-    obs = input_rows(actor, ids)
+    obs = np.eye(actor.dims[0])[ids]
     actions = rng.integers(2, size=16)
     _, cache = forward(actor, obs)
     old_logp = log_softmax(cache[1])[np.arange(16), actions]
@@ -601,7 +584,7 @@ def test_ppo_first_epoch_ratios_are_exactly_one(monkeypatch, tmp_path):
     ratios = []
 
     def recording(actor, ids, actions, adv, old_logp, hp):
-        logits = forward(actor, input_rows(actor, ids))[1][1]
+        logits = forward(actor, np.eye(actor.dims[0])[ids])[1][1]
         new_logp = log_softmax(logits)[np.arange(len(actions)), actions]
         ratios.append(np.exp(new_logp - old_logp))
         return ppo_gradients(actor, ids, actions, adv, old_logp, hp)
@@ -618,22 +601,55 @@ def test_ppo_first_epoch_ratios_are_exactly_one(monkeypatch, tmp_path):
 
 
 def test_trainers_step_accounting():
+    """Every round lands through the server: one step of each net per A2C
+    round, one per worker per A3C round, one per epoch per PPO round."""
     hp = HyperParams(rollout_fragment=8, num_workers=2)
     a2c = A2CTrainer([mdp_runner((s, 4)) for s in range(2)], hp, 0,
                      obs_dim=2, n_actions=2, hidden=(8,))
     a2c.run(40)  # rounds are whole multiples of fragment * workers
     assert a2c.env_steps == 48
+    assert a2c.server.version == 3
 
     a3c = A3CTrainer([mdp_runner((s, 5)) for s in range(2)], hp, 0,
                      obs_dim=2, n_actions=2, hidden=(8,))
     a3c.run(32)
     assert a3c.env_steps == 32
-    assert a3c.server.version == len(a3c.version_history)
+    assert a3c.server.version == 2 * hp.num_workers
+    assert a3c.version_history == list(range(1, a3c.server.version + 1))
 
     ppo = PPOTrainer([mdp_runner((s, 6)) for s in range(2)], hp, 0,
                      obs_dim=2, n_actions=2, hidden=(8,))
     ppo.run(16)
     assert ppo.env_steps == 16
+    assert ppo.server.version == hp.ppo_epochs
+    ppo.run(16)
+    assert ppo.server.version == 2 * hp.ppo_epochs
+
+
+def test_each_ppo_epoch_reads_the_net_after_the_last_step(
+        monkeypatch, before_apply_update):
+    """A PPO round's epochs are sequential on both nets: each gradient is
+    made only after the previous step on that net has landed."""
+    hp = HyperParams(rollout_fragment=8, num_workers=2)
+    ppo = PPOTrainer([mdp_runner((s, 10)) for s in range(2)], hp, 0,
+                     obs_dim=2, n_actions=2, hidden=(8,))
+    log = {"actor": [], "critic": []}
+
+    def logged(kind, name, fn):
+        def call(*args, **kwargs):
+            log[name].append(kind)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr("cyberdefsim.agents.ppo.ppo_gradients",
+                        logged("grad", "actor", ppo_gradients))
+    monkeypatch.setattr("cyberdefsim.agents.ppo._critic_gradients",
+                        logged("grad", "critic", _critic_gradients))
+    before_apply_update(lambda net: log[
+        "critic" if net is ppo.critic else "actor"].append("step"))
+    ppo.run(32)  # two rounds
+    for name in ("actor", "critic"):
+        assert log[name] == ["grad", "step"] * (2 * hp.ppo_epochs), name
 
 
 @pytest.mark.parametrize("trainer_cls", [A2CTrainer, A3CTrainer, PPOTrainer])

@@ -144,6 +144,29 @@ def test_train_rejects_bad_config_in_one_line(runner, tmp_path, doc):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("doc,prefix", [
+    ({"profile": {"name": "x", "rho": True, "tau": 4, "obs_accuracy": 0.5}},
+     "bad profile: rho"),
+    ({"profile": {"name": "x", "rho": 0.5, "tau": 4, "obs_accuracy": True}},
+     "bad profile: obs_accuracy"),
+    ({"profile": {"name": "x", "rho": "x", "tau": 4, "obs_accuracy": 0.5}},
+     "bad profile: rho"),
+    ({"split_seed": True}, "bad split: "),
+    ({"split_seed": -1}, "bad split: "),
+    ({"split_seed": 1.0}, "bad split: "),
+])
+def test_train_rejects_a_bool_or_non_integer_setting(runner, tmp_path, doc,
+                                                     prefix):
+    """true is not 1: a bool profile number or split seed ends in one line."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"output_dir": str(tmp_path / "run"),
+                                  "hyperparams": SHORT, **doc}))
+    result = runner.invoke(main, ["train", "--config", str(config)])
+    assert_one_error_line(result)
+    assert result.output.startswith(f"error: {prefix}")
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_exits_2_when_the_critic_diverges(runner, tmp_path,
                                                 before_apply_update):
     def diverge(net):

@@ -23,7 +23,6 @@ from cyberdefsim.neural_net import (
     forward,
     forward_table,
     init_mlp,
-    input_rows,
     log_softmax,
     net_from_dict,
     net_to_dict,
@@ -96,14 +95,14 @@ def test_table_rows_equal_batch_rows(seed):
             assert table.shape == (17, width) and table.dtype == net.params.dtype
             for batch in (48, 48, 48, 32, 12, 1):
                 ids = rng.integers(17, size=batch)
-                out, (acts, _, _) = forward(net, input_rows(net, ids))
+                out, (acts, _, _) = forward(net, np.eye(net.dims[0])[ids])
                 assert len(out) == batch
                 assert table[ids].tobytes() == out.tobytes()
                 assert len(acts) == len(table_acts) == 3
                 for a, t in zip(acts, table_acts):
                     assert t[ids].tobytes() == a[:batch].tobytes()
             for i in range(17):
-                assert forward(net, input_rows(net, i))[0].tobytes() \
+                assert forward(net, np.eye(net.dims[0])[i])[0].tobytes() \
                     == table[i].tobytes()
 
 
@@ -129,7 +128,7 @@ def dense_and_per_id_gradients(net, ids, rng, from_logits):
     and backward_ids, for one random output-gradient row per id; both as
     flat arrays."""
     grad_rows = rng.normal(size=(len(ids), net.dims[-1]))
-    _, cache = forward(net, input_rows(net, ids))
+    _, cache = forward(net, np.eye(net.dims[0])[ids])
     dense = backward(net, cache, grad_rows, from_logits)
     return dense.flat, backward_ids(net, ids, grad_rows, from_logits).flat
 
