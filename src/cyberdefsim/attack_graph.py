@@ -29,6 +29,15 @@ def read_json(path):
     return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
 
 
+def typed(value, kind: type, what: str):
+    """`value` as `kind` (int, float, str or bool) if its JSON type is that kind,
+    else a TypeError naming `what`; a float may be an int, and neither a bool."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise TypeError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class Tactic:
     id: int
@@ -221,7 +230,7 @@ def _parse_state_ref(ref):
         return ref
     if isinstance(ref, str) and ref.startswith("technique:"):
         return int(ref.split(":", 1)[1])
-    if isinstance(ref, int):
+    if type(ref) is int:
         return ref
     raise GraphError(f"unrecognized state reference {ref!r}")
 
@@ -234,9 +243,14 @@ def load_graph(source, relaxed_counts: bool = False) -> AttackGraph:
     where = f"{source}: " if isinstance(source, (str, Path)) else ""
     try:
         doc = read_json(source) if where else source
-        tactics = [Tactic(int(t["id"]), str(t["name"])) for t in doc["tactics"]]
+        tactics = [Tactic(typed(t["id"], int, "tactic id"),
+                          typed(t["name"], str, "tactic name"))
+                   for t in doc["tactics"]]
         techniques = [
-            Technique(int(t["id"]), str(t["name"]), int(t["tactic"]), bool(t["is_goal"]))
+            Technique(typed(t["id"], int, "technique id"),
+                      typed(t["name"], str, "technique name"),
+                      typed(t["tactic"], int, "technique tactic"),
+                      typed(t["is_goal"], bool, "is_goal"))
             for t in doc["techniques"]
         ]
         edges = [( _parse_state_ref(frm), _parse_state_ref(to)) for frm, to in doc["edges"]]

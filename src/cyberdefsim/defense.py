@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attack_graph import AttackGraph, Technique, read_json
+from .attack_graph import AttackGraph, Technique, read_json, typed
 
 INACTIVE = "inactive"
 REACTIVE = "reactive"
@@ -52,18 +52,17 @@ class DefenseAction:
 class DefenseCatalog:
     """Immutable action catalog; shareable read-only across workers."""
 
-    def __init__(self, actions, reactive_block_prob, cost_params, graph,
-                 relaxed_counts=False):
+    def __init__(self, actions, reactive_block_prob, cost_params, graph):
         self.actions: list[DefenseAction] = sorted(actions, key=lambda a: a.id)
         self.reactive_block_prob = float(reactive_block_prob)
         self.cost_params = cost_params
-        self._validate(graph, relaxed_counts)
+        self._validate(graph)
         # truncated power-law CDF for interruption draws, as a list for bisect
         k = np.arange(1, cost_params.powerlaw_max + 1, dtype=float)
         w = k ** (-cost_params.powerlaw_exponent)
         self._pl_cdf = np.cumsum(w / w.sum()).tolist()
 
-    def _validate(self, graph: AttackGraph, relaxed_counts: bool):
+    def _validate(self, graph: AttackGraph):
         ids = [a.id for a in self.actions]
         if ids != list(range(len(self.actions))):
             raise CatalogError(f"action ids must be contiguous from 0, got {ids}")
@@ -74,7 +73,7 @@ class DefenseCatalog:
             raise CatalogError("exactly one inactive action, at id 0")
         if kinds.count(REACTIVE) != 1 or self.actions[1].kind != REACTIVE:
             raise CatalogError("exactly one reactive action, at id 1")
-        if not relaxed_counts and kinds.count(PROACTIVE) != 21:
+        if kinds.count(PROACTIVE) != 21:
             raise CatalogError(
                 f"expected 21 proactive actions, got {kinds.count(PROACTIVE)}"
             )
@@ -102,7 +101,7 @@ class DefenseCatalog:
         return len(self.actions)
 
 
-def load_catalog(source, graph: AttackGraph, relaxed_counts: bool = False) -> DefenseCatalog:
+def load_catalog(source, graph: AttackGraph) -> DefenseCatalog:
     """Build a validated DefenseCatalog from a dict or a JSON file path.
 
     Every error raised for a file names the file.
@@ -110,24 +109,25 @@ def load_catalog(source, graph: AttackGraph, relaxed_counts: bool = False) -> De
     where = f"{source}: " if isinstance(source, (str, Path)) else ""
     try:
         doc = read_json(source) if where else source
-        cost = CostParams(**doc.get("cost", {}))
+        cost = CostParams(**{k: typed(v, int if k == "powerlaw_max" else float, k)
+                             for k, v in doc.get("cost", {}).items()})
         actions = [
             DefenseAction(
-                id=int(a["id"]),
-                kind=str(a["kind"]),
-                name=str(a["name"]),
-                covered_techniques=frozenset(int(t) for t in a.get("covers", [])),
-                block_prob=float(a.get("block_prob", 0.0)),
-                fp_scale=float(a.get("fp_scale", 0.0)),
+                id=typed(a["id"], int, "action id"),
+                kind=typed(a["kind"], str, "kind"),
+                name=typed(a["name"], str, "action name"),
+                covered_techniques=frozenset(typed(t, int, "covers")
+                                             for t in a.get("covers", [])),
+                block_prob=typed(a.get("block_prob", 0.0), float, "block_prob"),
+                fp_scale=typed(a.get("fp_scale", 0.0), float, "fp_scale"),
             )
             for a in doc["actions"]
         ]
-        reactive_p = float(doc["reactive_block_prob"])
+        reactive_p = typed(doc["reactive_block_prob"], float, "reactive_block_prob")
         for a in actions:
             if a.kind not in (INACTIVE, REACTIVE, PROACTIVE):
                 raise CatalogError(f"action {a.id}: unknown kind {a.kind!r}")
-        return DefenseCatalog(actions, reactive_p, cost, graph,
-                              relaxed_counts=relaxed_counts)
+        return DefenseCatalog(actions, reactive_p, cost, graph)
     except CatalogError as exc:
         raise CatalogError(f"{where}{exc}") from exc
     except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -71,7 +72,7 @@ class EnvConfig:
         if self.risk_mode not in (RISK_RESIDUAL, RISK_ACTION_AWARE, RISK_INACTIVE):
             raise ValueError(f"unknown risk_mode {self.risk_mode!r}")
         # the env builds its own PCG64 from the seed; a Generator would be
-        # shared with (and advanced for) its owner
+        # shared with its owner, each drawing from the other's stream
         if not isinstance(self.seed, np.random.SeedSequence):
             try:
                 if self.seed is None or isinstance(self.seed, bool):
@@ -150,39 +151,14 @@ _BLOCK = 256  # uniforms read at a time
 class _UniformDraws:
     """The `random()` draws of a numpy `Generator`, read from blocks of
     `Generator.random(_BLOCK)`, which gives the values as many per-call
-    `random()` calls give, in the same order. `sync()` hands the generator
-    back where per-call draws would have left it."""
+    `random()` calls give, in the same order; the first block is drawn at
+    the first read."""
 
-    __slots__ = ("_gen", "_block", "_pos")
+    __slots__ = ("random",)
 
     def __init__(self, gen: np.random.Generator):
-        self._gen, self._block, self._pos = gen, [], 0
-
-    def random(self) -> float:
-        try:
-            u = self._block[self._pos]
-        except IndexError:
-            self._block, self._pos = self._gen.random(_BLOCK).tolist(), 0
-            u = self._block[0]
-        self._pos += 1
-        return u
-
-    def sync(self) -> np.random.Generator:
-        """The generator, rewound over the unread uniforms; the next draw
-        starts a block from its state, so draws made on it in between stay
-        in the stream."""
-        unread = len(self._block) - self._pos
-        if unread:
-            # one 64-bit output per uniform; advance() also drops the 32-bit
-            # half an outside integers() draw may have left, so only the
-            # PCG state is taken from it
-            bits = self._gen.bit_generator
-            state = bits.state
-            bits.advance(-unread)
-            state["state"] = bits.state["state"]
-            bits.state = state
-        self._block, self._pos = [], 0
-        return self._gen
+        self.random = partial(next, chain.from_iterable(
+            iter(lambda: gen.random(_BLOCK).tolist(), None)))
 
 
 class CyberDefenseEnv:
@@ -214,11 +190,6 @@ class CyberDefenseEnv:
         self._depth = [g.tactic_depth(s) for s in (
             g.initiated, *map(g.state_of, sorted(g.techniques)), g.terminated)]
         self._valid_paths: set[AttackPath] = set()
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The env's numpy generator, synced with the draws made so far."""
-        return self._draws.sync()
 
     @property
     def observation_dim(self) -> int:

@@ -108,6 +108,36 @@ def test_structural_validation(mutate):
         load_graph(doc, relaxed_counts=True)
 
 
+def _set(section, i, **kw):
+    return lambda d: d[section][i].update(kw)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _set("tactics", 0, id=0.9),  # was read as tactic 0
+        _set("tactics", 1, name=5),
+        _set("techniques", 0, id=True),  # was read as technique 1
+        _set("techniques", 0, tactic=1.7),  # was read as tactic 1
+        _set("techniques", 0, name=None),
+        _set("techniques", 2, is_goal="no"),  # any non-empty string was a goal
+        _set("techniques", 0, is_goal=0),
+        lambda d: d["edges"].__setitem__(2, [True, 3]),  # was an edge from 1
+    ],
+    ids=["tactic-id-float", "tactic-name-int", "technique-id-bool",
+         "technique-tactic-float", "technique-name-null", "is_goal-string",
+         "is_goal-int", "edge-from-bool"],
+)
+def test_fields_must_have_their_json_type(mutate, tmp_path):
+    doc = small_doc()
+    mutate(doc)
+    p = tmp_path / "graph.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(GraphError, match=f"^{p}: ") as err:
+        load_graph(p, relaxed_counts=True)
+    assert "\n" not in str(err.value)
+
+
 def test_strict_counts_enforced():
     with pytest.raises(GraphError):
         load_graph(small_doc())

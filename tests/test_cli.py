@@ -251,6 +251,17 @@ def test_validate_bad_catalog_names_the_file(runner, tmp_path):
     assert str(catalog) in result.output
 
 
+def test_validate_refuses_a_catalog_number_of_the_wrong_type(runner, tmp_path):
+    # powerlaw_max 2.5 was read as an interruption law on 1..3
+    doc = json.loads(default_catalog_path().read_text())
+    doc["cost"]["powerlaw_max"] = 2.5
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["validate", "--catalog", str(catalog)])
+    assert_one_error_line(result)
+    assert str(catalog) in result.output and "powerlaw_max" in result.output
+
+
 def test_validate_bad_graph_names_the_file(runner, tmp_path):
     graph = tmp_path / "graph.json"
     graph.write_text("{")

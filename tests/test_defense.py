@@ -152,6 +152,33 @@ def test_catalog_validation(mutate, catalog_doc, graph):
         load_catalog(catalog_doc, graph)
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["cost"].update(powerlaw_max=2.5),  # was a law on 1..3
+        lambda d: d["cost"].update(powerlaw_max=True),  # was a law on 1..1
+        lambda d: d["cost"].update(impl_cost=True),
+        lambda d: d["actions"][2].update(block_prob="0.5"),
+        lambda d: d["actions"][2].update(block_prob=True),
+        lambda d: d["actions"][2].update(covers=["3"]),
+        lambda d: d["actions"][2].update(fp_scale="0.5"),
+        lambda d: d["actions"][2].update(id=2.0),
+        lambda d: d["actions"][2].update(name=7),
+        lambda d: d.update(reactive_block_prob="0.5"),
+    ],
+    ids=["powerlaw_max-float", "powerlaw_max-bool", "impl_cost-bool",
+         "block_prob-string", "block_prob-bool", "covers-string",
+         "fp_scale-string", "id-float", "name-int", "reactive_block_prob-string"],
+)
+def test_fields_must_have_their_json_type(mutate, catalog_doc, graph, tmp_path):
+    mutate(catalog_doc)
+    p = tmp_path / "catalog.json"
+    p.write_text(json.dumps(catalog_doc))
+    with pytest.raises(CatalogError, match=f"^{p}: ") as err:
+        load_catalog(p, graph)
+    assert "\n" not in str(err.value)
+
+
 def test_uncovered_technique_rejected(catalog_doc, graph):
     victim = sorted(graph.techniques)[0]
     for a in catalog_doc["actions"]:
