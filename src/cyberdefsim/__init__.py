@@ -7,8 +7,8 @@ training/evaluation harness and the `simctl` command line tool.
 
 import os
 
-# BLAS on one thread unless the user set a count: the nets are small and the
-# critic learns on a thread of its own. numpy reads these once, as it loads.
+# BLAS on one thread unless the user set a count: the nets are small. numpy
+# reads these once, as it loads.
 for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 

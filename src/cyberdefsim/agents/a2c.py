@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -21,9 +20,6 @@ from ..neural_net import (
 )
 from .common import (HyperParams, advantage, fragment_returns,
                      sample_policy_action)
-
-
-_critic_thread = None  # (pid, executor): a forked child has no copy of the thread
 
 
 def make_actor_critic(obs_dim: int, n_actions: int, seed, hidden=(256, 256)):
@@ -127,30 +123,17 @@ class ParameterServer:
         net's gradients in apply order: a list is made before any step lands,
         an iterator makes each after the previous one has landed.
 
-        Under one hold of the lock, the critic's are made and applied on a
-        second thread, started on first use in each process, while the
-        actor's run on this one; numpy's BLAS and ufunc loops release the
-        GIL, so the two overlap. Returns only once both are done; raises the
-        actor's error first, then the critic's."""
+        Under one hold of the lock, the actor learns, then the critic, so an
+        actor's error is raised before the critic's gradients are made."""
         def learn(net, opt, make_grads):
             n = 0
             for n, g in enumerate(make_grads(), 1):
                 apply_update(net, opt, g)
             return n
 
-        global _critic_thread
         with self._lock:
-            if _critic_thread is None or _critic_thread[0] != os.getpid():
-                from concurrent.futures import ThreadPoolExecutor
-                _critic_thread = os.getpid(), ThreadPoolExecutor(
-                    1, thread_name_prefix="critic")
-            critic = _critic_thread[1].submit(learn, self._critic,
-                                              self._critic_opt, critic_grads)
-            try:
-                n = learn(self._actor, self._actor_opt, actor_grads)
-            finally:
-                critic.exception()  # waits for the critic, whatever the actor did
-            critic.result()
+            n = learn(self._actor, self._actor_opt, actor_grads)
+            learn(self._critic, self._critic_opt, critic_grads)
             self.version += n
             return list(range(self.version - n + 1, self.version + 1))
 

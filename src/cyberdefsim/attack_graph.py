@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,10 +32,13 @@ def read_json(path):
 
 def typed(value, kind: type, what: str):
     """`value` as `kind` (int, float, str or bool) if its JSON type is that kind,
-    else a TypeError naming `what`; a float may be an int, and neither a bool."""
+    else a TypeError naming `what`; a float may be an int, and neither a bool,
+    and it must be finite (json reads 1e400 as inf)."""
     if isinstance(value, bool) != (kind is bool) or not isinstance(
             value, (int, float) if kind is float else kind):
         raise TypeError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
     return kind(value)
 
 
@@ -229,7 +233,9 @@ def _parse_state_ref(ref):
     if ref == INITIATED or ref == TERMINATED:
         return ref
     if isinstance(ref, str) and ref.startswith("technique:"):
-        return int(ref.split(":", 1)[1])
+        digits = ref.split(":", 1)[1]
+        if digits.isascii() and digits.isdigit():  # int() takes " 3 ", "+2", "1_0"
+            return int(digits)
     if type(ref) is int:
         return ref
     raise GraphError(f"unrecognized state reference {ref!r}")

@@ -29,6 +29,11 @@ class CostParams:
     depth_attenuation: float = 0.7
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            try:
+                typed(value, int if name == "powerlaw_max" else float, name)
+            except (TypeError, ValueError) as exc:
+                raise CatalogError(exc) from None
         if self.impl_cost < 0 or self.unit_interruption_cost < 0:
             raise CatalogError("costs must be non-negative")
         if self.powerlaw_exponent <= 1:

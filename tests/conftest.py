@@ -23,8 +23,8 @@ DESK = {"epochs": 20, "steps_per_epoch": 2500}
 @pytest.fixture
 def before_apply_update(monkeypatch):
     """install(hook): every actor-critic learner's apply_update calls
-    hook(net) first, on the thread that steps the net. Every A2C, A3C and
-    PPO step lands through ParameterServer.submit_round, in a2c."""
+    hook(net) first, just before it steps the net. Every A2C, A3C and PPO
+    step lands through ParameterServer.submit_round, in a2c."""
     def install(hook):
         def patched(net, opt, grads):
             hook(net)

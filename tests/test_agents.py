@@ -653,24 +653,25 @@ def test_each_ppo_epoch_reads_the_net_after_the_last_step(
 
 
 @pytest.mark.parametrize("trainer_cls", [A2CTrainer, A3CTrainer, PPOTrainer])
-def test_the_critic_steps_on_a_second_thread(trainer_cls, before_apply_update):
+def test_both_nets_step_on_the_callers_thread(trainer_cls, before_apply_update):
+    """Each round steps the actor, then the critic, all on the thread that
+    called run()."""
     hp = HyperParams(rollout_fragment=8, num_workers=2)
     trainer = trainer_cls([mdp_runner((s, 8)) for s in range(2)], hp, 0,
                           obs_dim=2, n_actions=2, hidden=(8,))
-    threads = {"actor": [], "critic": []}
-    before_apply_update(lambda net: threads[
-        "critic" if net is trainer.critic else "actor"].append(
-            threading.get_ident()))
+    steps = []
+    before_apply_update(lambda net: steps.append(
+        ("critic" if net is trainer.critic else "actor", threading.get_ident())))
     trainer.run(48)
-    assert threads["actor"] and set(threads["actor"]) == {threading.get_ident()}
-    assert len(threads["critic"]) == len(threads["actor"])
-    assert threading.get_ident() not in threads["critic"]
+    assert steps and {t for _, t in steps} == {threading.get_ident()}
+    k = len(steps) // 6  # each net's steps per round; 3 rounds of 2 x 8 steps
+    assert [name for name, _ in steps] == (["actor"] * k + ["critic"] * k) * 3
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_still_learns():
-    """The child of a fork has no copy of the critic's thread; it must start
-    its own rather than wait on the parent's for good."""
+    """A forked child trains on from its parent's state, and neither hangs
+    nor fails."""
     hp = HyperParams(rollout_fragment=8, num_workers=2)
     trainer = A2CTrainer([mdp_runner((s, 9)) for s in range(2)], hp, 0,
                          obs_dim=2, n_actions=2, hidden=(8,))

@@ -138,6 +138,20 @@ def test_fields_must_have_their_json_type(mutate, tmp_path):
     assert "\n" not in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "ref", ["technique:1_0", "technique: 3 ", "technique:+2", "technique:-1",
+            "technique:\u0663"],  # int() reads each; the last is Arabic-Indic 3
+)
+def test_an_edge_reference_takes_only_ascii_digits(ref, tmp_path):
+    doc = small_doc()
+    doc["edges"][2] = [1, ref]
+    p = tmp_path / "graph.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(GraphError, match=f"^{p}: unrecognized state reference") as err:
+        load_graph(p, relaxed_counts=True)
+    assert "\n" not in str(err.value)
+
+
 def test_strict_counts_enforced():
     with pytest.raises(GraphError):
         load_graph(small_doc())

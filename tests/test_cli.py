@@ -262,6 +262,17 @@ def test_validate_refuses_a_catalog_number_of_the_wrong_type(runner, tmp_path):
     assert str(catalog) in result.output and "powerlaw_max" in result.output
 
 
+def test_validate_refuses_a_catalog_number_json_reads_as_inf(runner, tmp_path):
+    # an fp_scale of 1e400 validated, then train died in sample_interruptions
+    doc = json.loads(default_catalog_path().read_text())
+    doc["actions"][2]["fp_scale"] = float("inf")
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+    result = runner.invoke(main, ["validate", "--catalog", str(catalog)])
+    assert_one_error_line(result)
+    assert str(catalog) in result.output and "fp_scale" in result.output
+
+
 def test_validate_bad_graph_names_the_file(runner, tmp_path):
     graph = tmp_path / "graph.json"
     graph.write_text("{")

@@ -1,6 +1,7 @@
 """Unit tests for the defense action catalog and its cost model."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -132,6 +133,25 @@ def test_cost_params_validation():
         CostParams(powerlaw_exponent=1.0)
     with pytest.raises(CatalogError):
         CostParams(depth_attenuation=0.0)
+    assert CostParams(impl_cost=1, unit_interruption_cost=0).impl_cost == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("powerlaw_max", 2.5),  # was a law on 1..3
+        ("powerlaw_max", True),
+        ("impl_cost", True),
+        ("impl_cost", "0.2"),
+        ("impl_cost", math.inf),
+        ("unit_interruption_cost", math.inf),
+        ("powerlaw_exponent", math.nan),
+        ("powerlaw_exponent", math.inf),
+    ],
+)
+def test_cost_params_must_have_their_types(field, value):
+    with pytest.raises(CatalogError, match=field):
+        CostParams(**{field: value})
 
 
 @pytest.mark.parametrize(
@@ -165,15 +185,23 @@ def test_catalog_validation(mutate, catalog_doc, graph):
         lambda d: d["actions"][2].update(id=2.0),
         lambda d: d["actions"][2].update(name=7),
         lambda d: d.update(reactive_block_prob="0.5"),
+        # json reads 1e400 as inf
+        lambda d: d["actions"][2].update(fp_scale=math.inf),
+        lambda d: d["cost"].update(impl_cost=math.inf),
+        lambda d: d["cost"].update(unit_interruption_cost=math.inf),
+        lambda d: d["cost"].update(powerlaw_exponent=math.inf),
     ],
     ids=["powerlaw_max-float", "powerlaw_max-bool", "impl_cost-bool",
          "block_prob-string", "block_prob-bool", "covers-string",
-         "fp_scale-string", "id-float", "name-int", "reactive_block_prob-string"],
+         "fp_scale-string", "id-float", "name-int", "reactive_block_prob-string",
+         "fp_scale-1e400", "impl_cost-1e400", "unit_interruption_cost-1e400",
+         "powerlaw_exponent-1e400"],
 )
 def test_fields_must_have_their_json_type(mutate, catalog_doc, graph, tmp_path):
     mutate(catalog_doc)
     p = tmp_path / "catalog.json"
-    p.write_text(json.dumps(catalog_doc))
+    # json.dumps writes inf as Infinity, which read_json already refuses
+    p.write_text(json.dumps(catalog_doc).replace("Infinity", "1e400"))
     with pytest.raises(CatalogError, match=f"^{p}: ") as err:
         load_catalog(p, graph)
     assert "\n" not in str(err.value)

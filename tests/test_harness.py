@@ -212,7 +212,7 @@ def test_when_both_nets_diverge_the_actor_error_is_raised(
     before_apply_update(diverging("actor", "critic", raised=raised))
     with pytest.raises(DivergenceError, match="actor"):
         train(tiny_config(tmp_path, algorithm=algorithm))
-    assert sorted(raised) == ["actor", "critic"]
+    assert raised == ["actor"]  # the critic never steps once the actor diverged
 
 
 def test_train_writes_metrics_and_checkpoints(tmp_path):
