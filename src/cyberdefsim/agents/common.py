@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,6 +75,14 @@ def epsilon(step: int, hp: HyperParams) -> float:
     return hp.eps_initial + frac * (hp.eps_final - hp.eps_initial)
 
 
+@lru_cache
+def _window_steps(n_steps: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """arange(n_steps), and gamma**k for k = 0..n_steps by repeated products."""
+    steps, powers = np.arange(n_steps), np.cumprod(np.r_[1.0, np.full(n_steps, gamma)])
+    steps.flags.writeable = powers.flags.writeable = False
+    return steps, powers
+
+
 class ReplayBuffer:
     """Ring of transitions in column arrays, with uniform sampling;
     observations are state ids."""
@@ -115,15 +124,15 @@ class ReplayBuffer:
             raise ValueError("buffer smaller than batch size")
         starts = self.rng.integers(size, size=batch_size)
         newest = (self._pos - 1) % size
-        window = (starts[:, None] + np.arange(n_steps)) % size
-        # step k is taken while no earlier step was done or the newest entry
+        steps, powers = _window_steps(n_steps, gamma)
+        window = (starts[:, None] + steps) % size
+        # a window's last step is its first done or newest entry, else step n-1
         ends = self._dones[window] | (window == newest)
-        taken = ~np.logical_or.accumulate(ends[:, :-1], axis=1)
-        # gamma**k by repeated products; the k-step return is the running sum
-        # of discounted rewards, added left to right, read after its last step
-        powers = np.cumprod(np.r_[1.0, np.full(n_steps, gamma)])
+        ends[:, -1] = True
+        # the k-step return is the running sum of discounted rewards, added
+        # left to right, read after its last step
         sums = np.add.accumulate(self._rewards[window] * powers[:-1], axis=1)
-        rows, extra = np.arange(batch_size), taken.sum(axis=1)
+        rows, extra = np.arange(batch_size), ends.argmax(axis=1)
         lasts = window[rows, extra]
         return (
             self._obs[starts],
@@ -136,10 +145,10 @@ class ReplayBuffer:
 
 
 def act_epsilon_greedy(qnet: Mlp, obs, eps: float, rng) -> int:
-    """Uniform with probability eps, else q-argmax (lowest index wins ties)."""
+    """int(u * n) with probability eps, else q-argmax (lowest index wins ties)."""
     n_actions = qnet.dims[-1]
     if rng.random() < eps:
-        return int(rng.integers(n_actions))
+        return int(rng.random() * n_actions)
     return _greedy_actions(qnet)[obs]
 
 
@@ -194,8 +203,11 @@ def argmax_policy(net: Mlp):
 
 
 def random_policy(n_actions: int):
+    if n_actions < 1:
+        raise ValueError(f"n_actions must be at least 1, got {n_actions!r}")
+
     def policy(obs, rng):
-        return int(rng.integers(n_actions))
+        return int(rng.random() * n_actions)
 
     return policy
 
@@ -208,6 +220,8 @@ class EpisodeRunner:
     """
 
     def __init__(self, env, paths=None, rng=None, on_episode_end=None):
+        if paths is not None and len(paths) == 0:
+            raise ValueError("the path pool is empty")
         self.env = env
         self.paths = paths
         self.rng = rng
@@ -221,7 +235,7 @@ class EpisodeRunner:
         self.episode_length = 0
         if self.paths is None:
             return self.env.reset()
-        path = self.paths[int(self.rng.integers(len(self.paths)))]
+        path = self.paths[int(self.rng.random() * len(self.paths))]
         return self.env.reset(path)
 
     def step(self, action: int):

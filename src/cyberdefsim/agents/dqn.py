@@ -76,7 +76,7 @@ def dqn_update(agent: DqnAgent, buffer: ReplayBuffer, hp: HyperParams) -> float:
     targets = dqn_targets(table[next_obs], agent.target_q[next_obs], returns,
                           dones, discounts, hp.double_dqn)
     err = table[obs, actions] - targets
-    loss = float(np.mean(err ** 2))
+    loss = float(np.add.reduce(err * err)) / len(err)
     g = np.zeros_like(cache[2])  # dLoss/dQ, nonzero only at each (obs, action)
     np.add.at(g, (obs, actions), (2.0 * err / len(actions)).astype(g.dtype))
     apply_update(agent.qnet, agent.opt, backward(agent.qnet, cache, g))

@@ -131,12 +131,18 @@ def forward(net: Mlp, x: np.ndarray):
     return (out[0] if squeeze else out[:len(x)]), (activations, logits, out)
 
 
+@lru_cache
+def _identity(n: int, dtype) -> np.ndarray:
+    """forward_table's input rows: a read-only view of an n x n identity."""
+    return np.broadcast_to(np.eye(n, dtype=dtype), (n, n))
+
+
 def forward_table(net: Mlp):
     """forward on one row per observation id, kept read-only on the net until
     apply_update. Its rows equal any forward's rows for the same ids bit for
     bit, one-row forwards and one-unit heads included: forward's padding."""
     if net.table is None:
-        out, cache = forward(net, np.eye(net.dims[0]))
+        out, cache = forward(net, _identity(net.dims[0], net.params.dtype))
         for a in (out, *cache[0], *cache[1:]):
             a.flags.writeable = False
         net.table = out, cache
@@ -152,8 +158,8 @@ def backward(net: Mlp, cache, grad_out: np.ndarray,
     """
     activations, logits, out = cache
     g = np.atleast_2d(np.asarray(grad_out, dtype=net.params.dtype))
-    # forward's pad rows take no gradient
-    g = np.concatenate([g, np.zeros((len(out) - len(g), g.shape[1]), g.dtype)])
+    if len(g) < len(out):  # forward's pad rows take no gradient
+        g = np.concatenate([g, np.zeros((len(out) - len(g), g.shape[1]), g.dtype)])
     if net.head == SOFTMAX and not from_logits:
         p = out
         g = p * (g - (g * p).sum(axis=-1, keepdims=True))

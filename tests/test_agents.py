@@ -1,5 +1,6 @@
 """Unit tests for shared agent machinery and the four learners."""
 
+import copy
 import os
 import signal
 import threading
@@ -7,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import oracles
 from cyberdefsim.agents.a2c import (
@@ -26,11 +28,13 @@ from cyberdefsim.agents.common import (
     argmax_policy,
     epsilon,
     fragment_returns,
+    random_policy,
     sample_policy_action,
 )
 from cyberdefsim.agents.dqn import DqnAgent, dqn_targets
 from cyberdefsim.agents.ppo import PPOTrainer, ppo_gradients
-from cyberdefsim.harness import ExperimentConfig, evaluate_policy, train
+from cyberdefsim.environment import StepOutcome
+from cyberdefsim.harness import ExperimentConfig, evaluate_policy, split_for_config, train
 from cyberdefsim.neural_net import (
     LINEAR,
     SOFTMAX,
@@ -96,6 +100,115 @@ def test_act_epsilon_greedy_scale_invariance():
         )
 
 
+# -- integer draws: int(u * n) from the caller's generator ----------------------
+
+
+class _PathEnv:
+    """Records the path of every reset; each step ends the episode, so each
+    runner step draws the next path."""
+
+    def __init__(self):
+        self.paths = []
+
+    def reset(self, path):
+        self.paths.append(path)
+        return 0
+
+    def step(self, action):
+        return StepOutcome(0, 0.0, True, {})
+
+
+class _TopUniform:
+    """A generator whose every random() is the largest float64 below 1."""
+
+    def random(self):
+        return 1 - 2 ** -53
+
+
+def _policy_picks(rng, k, choices):
+    policy = random_policy(len(choices))
+    return [policy(0, rng) for _ in range(k)]
+
+
+def _explore_picks(rng, k, choices):
+    qnet = init_mlp([2, 4, len(choices)], LINEAR, 0)
+    return [act_epsilon_greedy(qnet, 0, 1.0, rng) for _ in range(k)]
+
+
+def _path_picks(rng, k, choices):
+    env = _PathEnv()
+    runner = EpisodeRunner(env, choices, rng)
+    for _ in range(k - 1):
+        runner.step(0)
+    position = {path: i for i, path in enumerate(choices)}
+    return [position[path] for path in env.paths]
+
+
+# each site's picks, as positions in its choices, and the uniforms one pick
+# takes: the explore branch reads one for the eps test, then one for the action
+DRAW_SITES = {
+    "random_policy": (_policy_picks, 1),
+    "act_epsilon_greedy": (_explore_picks, 2),
+    "EpisodeRunner._reset": (_path_picks, 1),
+}
+
+
+def _choices(site, graph):
+    """The 101 held-out paths of the default split, or 23 actions."""
+    if site == "EpisodeRunner._reset":
+        return split_for_config(ExperimentConfig(), graph)[1]
+    return list(range(23))
+
+
+@pytest.mark.parametrize("site", sorted(DRAW_SITES))
+def test_each_integer_draw_is_a_scaled_uniform(site, default_graph):
+    """A clone of the generator predicts every pick as int(u * n) from its
+    random() sequence, and the site takes no other draw."""
+    picks, per_pick = DRAW_SITES[site]
+    choices = _choices(site, default_graph)
+    rng = np.random.default_rng(11)
+    clone = copy.deepcopy(rng)
+    got = picks(rng, 300, choices)
+    uniforms = clone.random((300, per_pick))[:, -1]
+    assert got == [int(u * len(choices)) for u in uniforms]
+    assert rng.random() == clone.random()
+
+
+@pytest.mark.parametrize("site", sorted(DRAW_SITES))
+def test_the_largest_uniform_picks_the_last_choice(site, default_graph):
+    """u = 1 - 2**-53 gives n - 1: the product rounds below n."""
+    picks, _ = DRAW_SITES[site]
+    choices = _choices(site, default_graph)
+    assert picks(_TopUniform(), 5, choices) == [len(choices) - 1] * 5
+
+
+@pytest.mark.parametrize("site", sorted(DRAW_SITES))
+def test_scaled_draws_are_uniform(site, default_graph):
+    """Chi-square over 200 picks per choice, each pick taking only its own
+    uniforms from the stream."""
+    picks, per_pick = DRAW_SITES[site]
+    choices = _choices(site, default_graph)
+    n = len(choices)
+    assert n == (101 if site == "EpisodeRunner._reset" else 23)
+    rng = np.random.default_rng(2024)
+    clone = copy.deepcopy(rng)
+    counts = np.bincount(picks(rng, 200 * n, choices), minlength=n)
+    assert stats.chisquare(counts).pvalue > 1e-3
+    clone.random(200 * n * per_pick)
+    assert rng.random() == clone.random()
+
+
+def test_random_policy_refuses_an_empty_action_set():
+    for n_actions in (0, -1):
+        with pytest.raises(ValueError, match="n_actions must be at least 1"):
+            random_policy(n_actions)
+
+
+def test_episode_runner_refuses_an_empty_path_pool():
+    with pytest.raises(ValueError, match="path pool is empty"):
+        EpisodeRunner(_PathEnv(), [], np.random.default_rng(0))
+
+
 # -- forward table ----------------------------------------------------------------
 
 
@@ -110,7 +223,7 @@ def uncached_argmax(net, obs, rng):
 
 def uncached_epsilon_greedy(net, obs, eps, rng):
     if rng.random() < eps:
-        return int(rng.integers(net.dims[-1]))
+        return int(rng.random() * net.dims[-1])
     return uncached_argmax(net, obs, rng)
 
 

@@ -283,15 +283,15 @@ def test_evaluation_rejects_an_empty_test_split(tmp_path):
 # episode loop's path draws moves them.
 PINNED_BASELINES = {
     ("random", "Av1"):
-        "b3e4b7978672887a8928c6ca5c7d496e5d483ce5a72b2327dfb773f94833b1d2",
+        "2f96ab025094532399da8a45c38d9461243f45ec755d7956c81255b3e2278c2f",
     ("null", "Av1"):
-        "b4c66967cb0c1b1ce629e2ca7444b23f0ac13c890a068e9b36aa2dc7d38d2930",
+        "844860167e8bbd98fb0196a7f1d9c6bca5cfaf47d17bd2709391eaeb40004e40",
     ("random", "Av2"):
-        "e4020a0089a4eedf2a6c6621a474aa3706d9f5dcada5fce2e4b4e149a3887310",
+        "b2f5c6022984167cd998702afe322ccdbc25724200f7f4d80faf18d561a8db52",
     ("null", "Av2"):
-        "a43f6e12e9beb0c870784b8ed3029505f819e166366d8edf0246cb06605c9bd3",
+        "249cfefdb11abecf5bd9e42ee7efd31c7f86126e93e09121e53750a06a3d4a9d",
     ("random", "Av3"):
-        "b76db05636f3c691048015ebc827f8a46ab290cc2dddb3f5acccf203741af5f4",
+        "9b0535c70a9a25ff04eed0cdd940cf760e4680abe36f3276bec1045bfee8e902",
     ("null", "Av3"):
         "362dd638ccd4b07033132763df49c077122d80e2eb79f1367ca1007dd5f47166",
 }
@@ -330,31 +330,31 @@ def test_random_and_null_baseline_pins_differ(profile):
 # the learners' float operations, their order, or the draws moves these.
 PINNED_TRAINING = {
     ("dqn", "metrics.csv"):
-        "e7b4041871b71ae95a89bf288ed5442ede74a62ca0e14a29aac7724daa22802c",
+        "c3a418f13d87b3199dcfdb6fd370f5d37b59b87ff0cc8936916dc65e013e94f5",
     ("dqn", "checkpoint-seed0.json"):
-        "b4a32078e3cf8aec19029af96203b85569b44226010e0161dec660d1ad290d5e",
+        "68ce9a77f46218ffb9521c834e02e56d40a6d3e20b084b5cb52f4f19678e3150",
     ("a2c", "metrics.csv"):
-        "d1bd9f5543ec9122949475cf399a264e7e51e0565057cf0919a4c333d5a39d00",
+        "5f6d5c31bbe964c9a6a50e6555fe90a9f647b4a604605578cdf4517a74bd086f",
     ("a2c", "checkpoint-seed0.json"):
-        "c3abfa1ab9311a7417501da75d1cab75755ce519ffb2d6eda8c32adb3b180b5b",
+        "83b2395817362a38613cc716654edc94eeb9a38725195e72fdfd72e41e626635",
     ("a3c", "metrics.csv"):
-        "83701e20d63b8b71bbf46c78ef940272ce6a9b2b956a0f765679390f0912b243",
+        "d19a0ce970142567eb19256c663b54623f5c548294db528e53a3b0031d375a5d",
     ("a3c", "checkpoint-seed0.json"):
-        "ea379d12b3e14cf62190138b7ab8b8d69980f604f6f3e27e12d1330a9227c699",
+        "28136329e1c65d257d38de6cdea4d012f214cfeccd44ec2fc7d941894855787a",
     ("ppo", "metrics.csv"):
-        "5a1e29221e1a1142d1bbe462b725656ca8eb5fcca14aa94dd6b32a7e4cf5d443",
+        "bca782ac5933f7bcaae7a0595f4f035a2ba6db6447dacea4c1bf9f9fd3e63744",
     ("ppo", "checkpoint-seed0.json"):
-        "9f6189433b6e12920a67ecf65606ad91de86931ec747b1e099d7f9bc605b8bf8",
+        "0efec1c246722b7cfe901a5b56f1edeca228a81f51e98608073ce9da5701bdb4",
 }
 
 # sha256 of EvalReport.write_csv for 300 episodes at seed 7 of each pinned
 # checkpoint: the greedy or mode policy acts through the trained net's
 # forward_table rows, so a change to its input rows or that table moves these.
 PINNED_CHECKPOINT_EVAL = {
-    "dqn": "92c40dadb8fbe12ec7687bcd07c2a0bd26c74b889dede2d58ce66178243ad705",
-    "a2c": "f3178ed50cfb2d9f40910a4f6d29376c9eedf1e65ee2a4c54635a9537b58726d",
-    "a3c": "59cd9a6e200d9ecb458d145cad746c7130a23c15e7016810c8a26bc41d59d6ee",
-    "ppo": "a81c648a5cc5f3c918ee6198af663170b33060bac43714a7aa5208a01dd8fb23",
+    "dqn": "6d54fb42443fb3bb115a0173a687b404b3c6652b9960ff365aac5bedc1168365",
+    "a2c": "b18793842ea83f3cc18558e1629094e6d3f7ca28de125abd8b7073525e3f18f3",
+    "a3c": "765c75853b99b2d863ddb2df7acdb386c794df7e840b256e000cc1f8c157c83e",
+    "ppo": "c97671dadea07e889e62e7508efa7fcf07a8f5ddd95ab8c7ff33bf44f5327d69",
 }
 
 
