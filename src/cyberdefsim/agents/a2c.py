@@ -41,8 +41,7 @@ def _critic_gradients(critic: Mlp, ids, returns):
 
 def _policy_gradients(actor: Mlp, ids, actions, coeff, hp: HyperParams):
     """Unclipped gradient of -mean(coeff * logpi(a)) - entropy_coef * mean(H)
-    at observation ids, `coeff` held constant (Adam's step clips it); returns
-    (grads, log-probabilities, entropies)."""
+    at observation ids, `coeff` held constant (Adam's step clips it)."""
     n = len(actions)
     _, (_, logits, probs) = forward_table(actor)
     probs = probs[ids]
@@ -53,25 +52,7 @@ def _policy_gradients(actor: Mlp, ids, actions, coeff, hp: HyperParams):
     grad_logits *= coeff[:, None]
     grad_logits += hp.entropy_coef * probs * (logp + ent[:, None])
     grad_logits /= n
-    return backward_ids(actor, ids, grad_logits, from_logits=True), logp, ent
-
-
-def a2c_gradients(actor: Mlp, critic: Mlp, ids, actions, returns, hp: HyperParams):
-    """Unclipped actor/critic loss gradients at observation ids (Adam's step
-    clips them); plus loss statistics."""
-    values = forward_table(critic)[0][ids, 0]
-    adv = advantage(returns, values)
-    actor_grads, logp, ent = _policy_gradients(actor, ids, actions, adv, hp)
-    critic_grads = _critic_gradients(critic, ids, returns)
-
-    chosen_logp = logp[np.arange(len(actions)), actions]
-    stats = {
-        "policy_loss": float(-np.mean(chosen_logp * adv)
-                             - hp.entropy_coef * np.mean(ent)),
-        "value_loss": float(np.mean((returns - values) ** 2)),
-        "entropy": float(np.mean(ent)),
-    }
-    return actor_grads, critic_grads, stats
+    return backward_ids(actor, ids, grad_logits, from_logits=True)
 
 
 def collect_fragment(runner, actor: Mlp, critic: Mlp, hp: HyperParams, rng):
@@ -190,7 +171,7 @@ class A2CTrainer:
         values = forward_table(self.critic)[0]
         advs = [advantage(returns, values[ids, 0]) for ids, _, returns in subs]
         return self.server.submit_round(
-            lambda: [_policy_gradients(self.actor, ids, actions, adv, self.hp)[0]
+            lambda: [_policy_gradients(self.actor, ids, actions, adv, self.hp)
                      for (ids, actions, _), adv in zip(subs, advs)],
             lambda: [_critic_gradients(self.critic, ids, returns)
                      for ids, _, returns in subs])

@@ -11,8 +11,10 @@ a3c_worker_step) are also supported.
 
 from __future__ import annotations
 
-from .common import HyperParams
-from .a2c import A2CTrainer, ParameterServer, a2c_gradients, collect_fragment
+from ..neural_net import forward_table
+from .common import HyperParams, advantage
+from .a2c import (A2CTrainer, ParameterServer, _critic_gradients,
+                  _policy_gradients, collect_fragment)
 
 
 class A3CWorker:
@@ -24,14 +26,15 @@ class A3CWorker:
         self.rng = rng
 
     def compute_submission(self, server: ParameterServer):
-        """Pull a snapshot, roll one fragment, return its gradients."""
+        """Pull a snapshot, roll one fragment, return its gradients: the
+        actor's and the critic's, made as A2CTrainer.update makes them."""
         _version, actor, critic = server.snapshot()
         ids, actions, returns = collect_fragment(
             self.runner, actor, critic, self.hp, self.rng
         )
-        a_grads, c_grads, _ = a2c_gradients(actor, critic, ids, actions,
-                                            returns, self.hp)
-        return a_grads, c_grads
+        adv = advantage(returns, forward_table(critic)[0][ids, 0])
+        return (_policy_gradients(actor, ids, actions, adv, self.hp),
+                _critic_gradients(critic, ids, returns))
 
 
 def a3c_worker_step(worker: A3CWorker, server: ParameterServer,

@@ -46,6 +46,11 @@ class HyperParams:
             raise ValueError("gamma must lie in [0,1)")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        for name in ("eps_initial", "eps_final"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0,1], got {getattr(self, name)!r}")
+        if self.ppo_clip <= 0:
+            raise ValueError(f"ppo_clip must be positive, got {self.ppo_clip!r}")
         if self.eps_final > self.eps_initial:
             raise ValueError("eps_final must not exceed eps_initial")
         if not isinstance(self.double_dqn, bool):

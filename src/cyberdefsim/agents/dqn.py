@@ -9,7 +9,7 @@ from ..neural_net import (
     OptimizerState,
     apply_update,
     as_float32,
-    backward,
+    backward_ids,
     forward_table,
     init_mlp,
 )
@@ -72,14 +72,13 @@ def dqn_update(agent: DqnAgent, buffer: ReplayBuffer, hp: HyperParams) -> float:
     """
     obs, actions, returns, next_obs, dones, discounts = buffer.sample_n_step(
         hp.batch_size, hp.rollout_fragment, hp.gamma)
-    table, cache = forward_table(agent.qnet)
+    table = forward_table(agent.qnet)[0]
     targets = dqn_targets(table[next_obs], agent.target_q[next_obs], returns,
                           dones, discounts, hp.double_dqn)
     err = table[obs, actions] - targets
     loss = float(np.add.reduce(err * err)) / len(err)
-    g = np.zeros_like(cache[2])  # dLoss/dQ, nonzero only at each (obs, action)
-    np.add.at(g, (obs, actions), (2.0 * err / len(actions)).astype(g.dtype))
-    apply_update(agent.qnet, agent.opt, backward(agent.qnet, cache, g))
+    apply_update(agent.qnet, agent.opt,
+                 backward_ids(agent.qnet, (obs, actions), 2.0 * err / len(err)))
     agent.updates += 1
     if agent.updates % hp.target_sync == 0:
         agent.target_q, _ = forward_table(agent.qnet)

@@ -19,7 +19,7 @@ def ppo_gradients(actor: Mlp, ids, actions, advantages, old_logp,
     # gradient flows through the ratio only where the unclipped branch is taken
     active = unclipped_term <= clipped * advantages
     coeff = np.where(active, unclipped_term, 0.0)
-    return _policy_gradients(actor, ids, actions, coeff, hp)[0]
+    return _policy_gradients(actor, ids, actions, coeff, hp)
 
 
 class PPOTrainer(A2CTrainer):

@@ -176,8 +176,8 @@ def backward(net: Mlp, cache, grad_out: np.ndarray,
 def backward_ids(net: Mlp, ids, grad_rows: np.ndarray,
                  from_logits: bool = False) -> GradientSet:
     """backward for a batch of observation ids, with one dLoss/d(output) row
-    per id: the rows, cast to the table's dtype, summed per id, then backward
-    over forward_table's rows."""
+    per id (or one entry per (ids, columns) pair): cast to the table's dtype,
+    summed per id, then backward over forward_table's rows."""
     cache = forward_table(net)[1]
     g = np.zeros_like(cache[2])
     np.add.at(g, ids, np.asarray(grad_rows, g.dtype))

@@ -14,7 +14,7 @@ import oracles
 from cyberdefsim.agents.a2c import (
     A2CTrainer,
     _critic_gradients,
-    a2c_gradients,
+    _policy_gradients,
     collect_fragment,
     make_actor_critic,
 )
@@ -64,6 +64,14 @@ def test_hyperparams_validation():
         HyperParams(alpha=0.0)
     with pytest.raises(ValueError):
         HyperParams(eps_final=0.5, eps_initial=0.1)
+    for bad, name in (({"eps_initial": 2.0}, "eps_initial"),
+                      ({"eps_initial": -0.1, "eps_final": -0.5}, "eps_initial"),
+                      ({"eps_final": 1.5, "eps_initial": 1.5}, "eps_initial"),
+                      ({"eps_final": -0.5}, "eps_final"),
+                      ({"ppo_clip": -0.3}, "ppo_clip"),
+                      ({"ppo_clip": 0.0}, "ppo_clip")):
+        with pytest.raises(ValueError, match=name):
+            HyperParams(**bad)
     with pytest.raises(ValueError, match="replay_capacity"):
         HyperParams(replay_capacity=10)  # a batch of 48 would never fill
     with pytest.raises(ValueError):
@@ -631,24 +639,50 @@ def test_actor_critic_heads():
     assert value.shape == (1,)
 
 
-def test_a2c_gradients_match_loss_decrease():
-    actor, critic = make_actor_critic(2, 2, 3, hidden=(16,))
-    hp = HyperParams(alpha=0.01, entropy_coef=0.0)
-    rng = np.random.default_rng(0)
-    ids = rng.integers(2, size=32)
-    actions = rng.integers(2, size=32)
-    returns = rng.normal(size=32)
-    a_opt, c_opt = OptimizerState(lr=0.01), OptimizerState(lr=0.01)
-    value_losses = []
-    for _ in range(21):
-        # stats are the losses at the parameters the gradients are taken at
-        a_grads, c_grads, stats = a2c_gradients(actor, critic, ids, actions,
-                                                returns, hp)
-        value_losses.append(stats["value_loss"])
-        apply_update(actor, a_opt, a_grads)
-        apply_update(critic, c_opt, c_grads)
-    assert value_losses[-1] < value_losses[0]
-    assert set(stats) == {"policy_loss", "value_loss", "entropy"}
+def assert_gradients_match_finite_differences(net, grads, loss):
+    fd = oracles.finite_diff(loss, net.weights + net.biases)
+    for g, f in zip(grads.d_weights + grads.d_biases, fd):
+        np.testing.assert_allclose(g, f, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("entropy_coef", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_policy_gradients_match_finite_differences(entropy_coef, seed):
+    """_policy_gradients is the gradient of -mean(coeff * log pi(a)) -
+    entropy_coef * mean(H), the entropy bonus included, in every parameter
+    of a float64 net, against that loss on a dense forward."""
+    actor = init_mlp([3, 6, 5, 4], SOFTMAX, seed)
+    rng = np.random.default_rng(seed)
+    ids, actions = rng.integers(3, size=10), rng.integers(4, size=10)
+    coeff = rng.normal(size=10)
+    grads = _policy_gradients(actor, ids, actions, coeff,
+                              HyperParams(entropy_coef=entropy_coef))
+
+    def loss():
+        # a dense forward: finite_diff writes the weights in place, which a
+        # table kept on the net would not see
+        logp = np.log(forward(actor, np.eye(3)[ids])[0])
+        entropy = -np.sum(np.exp(logp) * logp, axis=1)
+        return (-np.mean(coeff * logp[np.arange(10), actions])
+                - entropy_coef * np.mean(entropy))
+
+    assert_gradients_match_finite_differences(actor, grads, loss)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_critic_gradients_match_finite_differences(seed):
+    """_critic_gradients is the gradient of the values' mean squared error to
+    the returns, in every parameter of a float64 net."""
+    critic = init_mlp([3, 6, 5, 1], LINEAR, seed)
+    rng = np.random.default_rng(seed)
+    ids, returns = rng.integers(3, size=10), rng.normal(size=10)
+    grads = _critic_gradients(critic, ids, returns)
+
+    def loss():
+        values = forward(critic, np.eye(3)[ids])[0][:, 0]
+        return np.mean((values - returns) ** 2)
+
+    assert_gradients_match_finite_differences(critic, grads, loss)
 
 
 def test_collect_fragment_shapes():

@@ -135,6 +135,10 @@ SHORT = {"epochs": 1, "steps_per_epoch": 500}
     {"hyperparams": {**SHORT, "alpha": float("nan")}},
     {"hyperparams": {**SHORT, "double_dqn": "false"}},
     {"seeds": [1, 1], "hyperparams": SHORT},
+    {"hyperparams": {**SHORT, "eps_initial": 2.0}},
+    {"hyperparams": {**SHORT, "eps_initial": -0.1, "eps_final": -0.5}},
+    {"algorithm": "ppo", "hyperparams": {**SHORT, "ppo_clip": -0.3}},
+    {"algorithm": "ppo", "hyperparams": {**SHORT, "ppo_clip": 0.0}},
 ])
 def test_train_rejects_bad_config_in_one_line(runner, tmp_path, doc):
     config = tmp_path / "config.json"
