@@ -101,6 +101,7 @@ class AttackGraph:
             tid: AttackState(TECHNIQUE, tid, i + 1) for i, tid in enumerate(ordered)
         }
         self.terminated = AttackState(TERMINATED, None, len(ordered) + 1)
+        self.state_count = len(ordered) + 2
 
     # -- construction-time checks ------------------------------------------
 
@@ -176,10 +177,6 @@ class AttackGraph:
                 )
 
     # -- queries -------------------------------------------------------------
-
-    @property
-    def state_count(self) -> int:
-        return len(self.techniques) + 2
 
     def state_of(self, technique_id: int) -> AttackState:
         return self._tech_states[technique_id]

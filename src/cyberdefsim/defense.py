@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +63,41 @@ class DefenseCatalog:
         self.reactive_block_prob = float(reactive_block_prob)
         self.cost_params = cost_params
         self._validate(graph)
-        # truncated power-law CDF for interruption draws, as a list for bisect
+        # truncated power-law CDF for interruption draws, as a list for bisect;
+        # the float sum can fall short of 1, so its last entry is set to 1 and
+        # no uniform in [0, 1) draws past powerlaw_max
         k = np.arange(1, cost_params.powerlaw_max + 1, dtype=float)
         w = k ** (-cost_params.powerlaw_exponent)
         self._pl_cdf = np.cumsum(w / w.sum()).tolist()
+        self._pl_cdf[-1] = 1.0
+        self._build_cost_table(k, graph.goal_tactic)
+
+    def _build_cost_table(self, k, goal_depth: int):
+        """`costs[a][depth][i]`: the collateral cost of action `a` at stage
+        `depth` (0..goal) on the power-law draw k = i + 1. Actions of one kind
+        and fp_scale share their rows, and the rows share one float per
+        count."""
+        attenuation = np.array([self.cost_params.depth_attenuation ** d
+                                for d in range(goal_depth + 1)])[:, None]
+        self.costs = [None] * len(self)
+        for inactive in (True, False):  # the cost differs only by kind
+            group = [a for a in self.actions if (a.kind == INACTIVE) == inactive]
+            scales = sorted({a.fp_scale for a in group})
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                counts = _interrupted(k, np.array(scales)[:, None, None], attenuation)
+            counts[np.isnan(counts)] = math.inf  # inf * 0.0
+            counts = counts.tolist()
+            cost_of = {c: action_cost(self, group[0], int(c)) if c < math.inf else c
+                       for c in set(chain.from_iterable(chain.from_iterable(counts)))}
+            rows = {fp: [list(map(cost_of.__getitem__, row)) for row in n]
+                    for fp, n in zip(scales, counts)}
+            if not all(map(math.isfinite, cost_of.values())):
+                a = next(a for a in group if not all(
+                    map(math.isfinite, chain.from_iterable(rows[a.fp_scale]))))
+                raise CatalogError(f"action {a.id}: collateral cost is not finite "
+                                   f"(fp_scale {a.fp_scale!r})")
+            for a in group:
+                self.costs[a.id] = rows[a.fp_scale]
 
     def _validate(self, graph: AttackGraph):
         ids = [a.id for a in self.actions]
@@ -158,9 +190,20 @@ def sample_interruptions(catalog: DefenseCatalog, action: DefenseAction,
     """
     if action.kind == INACTIVE:
         return 0
-    k = bisect_left(catalog._pl_cdf, rng.random()) + 1
-    scaled = k * action.fp_scale * catalog.cost_params.depth_attenuation ** depth
-    return math.floor(scaled + 0.5)
+    k = power_law_draw(catalog, rng) + 1
+    return int(_interrupted(k, action.fp_scale,
+                            catalog.cost_params.depth_attenuation ** depth))
+
+
+def _interrupted(k, fp_scale, attenuation):
+    """The count formula, elementwise on arrays: k * fp_scale * attenuation
+    rounded half up, for power-law draw k and a stage's depth attenuation."""
+    return np.floor(k * fp_scale * attenuation + 0.5)
+
+
+def power_law_draw(catalog: DefenseCatalog, rng) -> int:
+    """Index i of one truncated power-law draw k = i + 1; one uniform."""
+    return bisect_left(catalog._pl_cdf, rng.random())
 
 
 def action_cost(catalog: DefenseCatalog, action: DefenseAction,

@@ -18,12 +18,7 @@ import numpy as np
 
 from .adversary import AdversaryProfile, attempt
 from .attack_graph import AttackGraph, AttackPath, AttackState, TERMINATED
-from .defense import (
-    DefenseCatalog,
-    action_cost,
-    block_probability,
-    sample_interruptions,
-)
+from .defense import INACTIVE, DefenseCatalog, block_probability, power_law_draw
 
 ONGOING = "ongoing"
 DEFENDER_WIN = "defender_win"
@@ -179,16 +174,26 @@ class CyberDefenseEnv:
         self._failures = 0
         self._t = 0
         self._done = True
-        # per-step lookups built once from the public formulas: the strongest
-        # catalog block per technique (for the residual risk term), block odds
-        # by action id and technique id, tactic depth by (dense) state index
-        g = self.graph
-        self._best_block = best_block_table(self.catalog, g)
-        self._beta = [{tid: block_probability(self.catalog, a, tech)
+        # per-step lookups built once from the public formulas: block odds by
+        # action id and technique id, tactic depth by (dense) state index, the
+        # successor and the risk term's skill by technique id (action_aware
+        # reads beta per step), cost rows by action id (None: draws nothing)
+        g, catalog, rho = self.graph, self.catalog, self.profile.rho
+        self._beta = [{tid: block_probability(catalog, a, tech)
                        for tid, tech in g.techniques.items()}
-                      for a in self.catalog.actions]
+                      for a in catalog.actions]
         self._depth = [g.tactic_depth(s) for s in (
             g.initiated, *map(g.state_of, sorted(g.techniques)), g.terminated)]
+        self._successor = {tid: g.state_of(tid) for tid in g.techniques}
+        self._action_aware = config.risk_mode == RISK_ACTION_AWARE
+        best_block = best_block_table(catalog, g)
+        self._skill = {tid: float((1.0 - best_block[tid]) * rho
+                                  if config.risk_mode == RISK_RESIDUAL else rho)
+                       for tid in g.techniques}
+        self._costs = [None if a.kind == INACTIVE else catalog.costs[a.id]
+                       for a in catalog.actions]
+        self._terminated, self._horizon = g.terminated, config.horizon
+        self._reward_model = config.reward_model
         self._valid_paths: set[AttackPath] = set()
 
     @property
@@ -215,7 +220,7 @@ class CyberDefenseEnv:
     def step(self, action_id: int) -> StepOutcome:
         if self._done:
             raise RuntimeError("step() after episode end; call reset()")
-        action = self.catalog.actions[action_id]
+        costs = self._costs[action_id]
         path, profile, draws = self._path, self.profile, self._draws
         pre_depth = self._depth[self._position.index]
 
@@ -223,16 +228,16 @@ class CyberDefenseEnv:
         beta = self._beta[action_id][target_id]
         # the skill draw is made only when the defense did not block
         if draws.random() >= beta and attempt(profile, draws):
-            self._position = self.graph.state_of(target_id)
+            self._position = self._successor[target_id]
             self._cursor += 1
         else:
             # blocks and skill failures spend the same episode-wide budget
             self._failures += 1
             if self._failures >= profile.tau:
-                self._position = self.graph.terminated
+                self._position = self._terminated
 
-        interrupted = sample_interruptions(self.catalog, action, pre_depth, draws)
-        cost = action_cost(self.catalog, action, interrupted)
+        cost = 0.0 if costs is None else \
+            costs[pre_depth][power_law_draw(self.catalog, draws)]
 
         self._t += 1
         if self._cursor >= self._len:
@@ -240,16 +245,12 @@ class CyberDefenseEnv:
         elif self._failures >= profile.tau:
             outcome, p_goal = DEFENDER_WIN, 0.0
         else:
-            outcome = TRUNCATED if self._t >= self.config.horizon else ONGOING
-            rho = profile.rho
-            if self.config.risk_mode == RISK_RESIDUAL:
-                rho = (1.0 - self._best_block[path.steps[self._cursor]]) * rho
-            elif self.config.risk_mode == RISK_ACTION_AWARE:
-                rho = (1.0 - beta) * rho
-            p_goal = _p_goal(self._len - self._cursor,
-                             profile.tau - self._failures, float(rho))
+            outcome = TRUNCATED if self._t >= self._horizon else ONGOING
+            p_goal = _p_goal(self._len - self._cursor, profile.tau - self._failures,
+                             float((1.0 - beta) * profile.rho) if self._action_aware
+                             else self._skill[path.steps[self._cursor]])
 
-        reward = reward_of_transition(self.config.reward_model, p_goal, outcome, cost)
+        reward = reward_of_transition(self._reward_model, p_goal, outcome, cost)
         obs = observe(self._position, profile, draws, self.graph)
 
         self._done = outcome != ONGOING

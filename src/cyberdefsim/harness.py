@@ -391,11 +391,13 @@ def _evaluate(make_policy, config: ExperimentConfig, test_paths, episodes,
     profile, model = env_cfg.profile, env_cfg.reward_model
     best_block = best_block_table(catalog, graph)
     residual = config.risk_mode == RISK_RESIDUAL
-    best = float(np.mean([
-        scripted_best_return(p, profile, model, residual_rho=(
-            (1.0 - best_block[p.steps[0]]) * profile.rho if residual else 0.0))
-        for p in test_paths
-    ]))
+    ideal = {}  # the ideal return reads only a path's length and first step
+    for p in test_paths:
+        key = (len(p), p.steps[0])
+        if key not in ideal:
+            ideal[key] = scripted_best_return(p, profile, model, residual_rho=(
+                (1.0 - best_block[key[1]]) * profile.rho if residual else 0.0))
+    best = float(np.mean([ideal[len(p), p.steps[0]] for p in test_paths]))
     return EvalReport(
         episodes=episodes,
         dwr=sum(wins) / episodes,

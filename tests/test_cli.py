@@ -277,6 +277,23 @@ def test_validate_refuses_a_catalog_number_json_reads_as_inf(runner, tmp_path):
     assert str(catalog) in result.output and "fp_scale" in result.output
 
 
+def test_a_catalog_whose_cost_overflows_fails_validate_and_train(runner, tmp_path):
+    # every proactive fp_scale at 1e308 validated, then train died in
+    # sample_interruptions with an OverflowError traceback
+    doc = json.loads(default_catalog_path().read_text())
+    for action in doc["actions"]:
+        if action["kind"] == "proactive":
+            action["fp_scale"] = 1e308
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(doc))
+    config = write_config(tmp_path, catalog=str(catalog))
+    for args in (["validate", "--catalog", str(catalog)],
+                 ["train", "--config", str(config)]):
+        result = runner.invoke(main, args)
+        assert_one_error_line(result)
+        assert str(catalog) in result.output and "action 2" in result.output
+
+
 def test_validate_bad_graph_names_the_file(runner, tmp_path):
     graph = tmp_path / "graph.json"
     graph.write_text("{")

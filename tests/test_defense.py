@@ -16,6 +16,7 @@ from cyberdefsim.defense import (
     action_cost,
     block_probability,
     load_catalog,
+    power_law_draw,
     sample_interruptions,
 )
 from cyberdefsim.harness import default_catalog_path, default_graph_path
@@ -124,6 +125,85 @@ def test_interruptions_equal_the_numpy_form(catalog):
                 draws += 1
     assert draws >= 200_000
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class FixedUniform:
+    """A stub rng whose `random()` returns the given uniforms in turn."""
+
+    def __init__(self, *uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self):
+        return self.uniforms.pop(0)
+
+
+def bucket_uniforms(cdf, i):
+    """The lowest and the highest uniform that draw index i: bisect_left
+    gives i for u in (cdf[i - 1], cdf[i]]."""
+    low = 0.0 if i == 0 else math.nextafter(cdf[i - 1], 1.0)
+    return low, min(cdf[i], math.nextafter(1.0, 0.0))
+
+
+def test_the_cost_table_equals_the_public_formulas(catalog, graph):
+    cdf = catalog._pl_cdf
+    assert len(cdf) == catalog.cost_params.powerlaw_max
+    for action in catalog.actions:
+        rows = catalog.costs[action.id]
+        assert len(rows) == graph.goal_tactic + 1
+        for depth, row in enumerate(rows):
+            assert len(row) == len(cdf)
+            for i, entry in enumerate(row):
+                for u in bucket_uniforms(cdf, i):
+                    stub = FixedUniform(u)
+                    want = action_cost(catalog, action, sample_interruptions(
+                        catalog, action, depth, stub))
+                    assert type(entry) is float and entry == want, (action.id, depth, i)
+                    # the inactive action draws nothing, any other one uniform
+                    assert stub.uniforms == ([u] if action.kind == INACTIVE else [])
+
+
+def test_the_largest_uniform_draws_powerlaw_max(catalog):
+    # the CDF's float sum ends below 1 - 2**-53, which drew k = powerlaw_max + 1
+    top = math.nextafter(1.0, 0.0)
+    assert power_law_draw(catalog, FixedUniform(top)) == len(catalog._pl_cdf) - 1
+    action = next(a for a in catalog.actions if a.fp_scale == 1.0)
+    assert sample_interruptions(catalog, action, 0, FixedUniform(top)) == \
+        catalog.cost_params.powerlaw_max
+
+
+def test_actions_of_one_kind_and_scale_share_their_rows(catalog):
+    by_scale = {}
+    for a in catalog.actions[1:]:
+        rows = by_scale.setdefault(a.fp_scale, catalog.costs[a.id])
+        assert catalog.costs[a.id] is rows
+    floats = {id(c) for rows in catalog.costs[1:] for row in rows for c in row}
+    assert len(floats) == len({c for rows in catalog.costs[1:]
+                               for row in rows for c in row})
+
+
+@pytest.mark.parametrize(
+    "mutate, action_id",
+    [
+        # every proactive fp_scale 1e308: k * fp_scale overflows for k >= 2
+        (lambda d: [a.update(fp_scale=1e308) for a in d["actions"]
+                    if a["kind"] == PROACTIVE], 2),
+        # finite counts whose cost overflows, first for the reactive action
+        (lambda d: d["cost"].update(unit_interruption_cost=1e308), 1),
+        # inf * 0.0 attenuation is NaN
+        (lambda d: (d["actions"][1].update(fp_scale=1e308),
+                    d["cost"].update(depth_attenuation=1e-200)), 1),
+    ],
+    ids=["fp_scale-1e308", "unit_interruption_cost-1e308", "nan-count"],
+)
+def test_a_catalog_whose_cost_overflows_is_refused(mutate, action_id, catalog_doc,
+                                                   graph, tmp_path):
+    mutate(catalog_doc)
+    p = tmp_path / "catalog.json"
+    p.write_text(json.dumps(catalog_doc))
+    with pytest.raises(CatalogError,
+                       match=f"^{p}: action {action_id}: collateral cost") as err:
+        load_catalog(p, graph)
+    assert "\n" not in str(err.value)
 
 
 def test_cost_params_validation():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cyberdefsim
-from cyberdefsim import harness
+from cyberdefsim import environment, harness
 from cyberdefsim.agents.common import HyperParams
 from cyberdefsim.harness import (
     ALGORITHMS,
@@ -276,6 +276,30 @@ def test_evaluation_rejects_an_empty_test_split(tmp_path):
                 lambda: random_baseline(cfg)):
         with pytest.raises(ConfigError, match="empty test split"):
             run()
+
+
+@pytest.mark.parametrize("risk_mode", ["residual", "action_aware"])
+def test_the_ideal_return_is_the_mean_over_the_test_paths(tmp_path, risk_mode):
+    # each proactive action its own block odds, so the residual skill of the
+    # ideal episode differs by a path's first technique
+    doc = json.loads(default_catalog_path().read_text())
+    for action in doc["actions"][2:]:
+        action["block_prob"] = 0.5 + 0.02 * action["id"]
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(doc))
+    cfg = tiny_config(tmp_path, catalog=str(catalog), risk_mode=risk_mode)
+    graph = cfg.load_graph()
+    env_cfg = cfg.env_config(graph, cfg.load_catalog(graph), 0)
+    best = environment.best_block_table(env_cfg.catalog, graph)
+    _, test_paths = split_for_config(cfg, graph)
+    profile, model = env_cfg.profile, env_cfg.reward_model
+    rho = {p.steps[0]: (1.0 - best[p.steps[0]]) * profile.rho
+           if risk_mode == "residual" else 0.0 for p in test_paths}
+    assert len(set(rho.values())) == (2 if risk_mode == "residual" else 1)
+    want = float(np.mean([environment.scripted_best_return(
+        p, profile, model, residual_rho=rho[p.steps[0]]) for p in test_paths]))
+    report = evaluate_policy(lambda obs, rng: 0, cfg, episodes=5)
+    assert report.best_return == want
 
 
 # sha256 of EvalReport.write_csv for 300 episodes at seed 7. These reports
