@@ -62,11 +62,11 @@ def collect_fragment(runner, actor: Mlp, critic: Mlp, hp: HyperParams, rng):
     for _ in range(hp.rollout_fragment):
         obs = runner.obs
         action = sample_policy_action(actor, obs, rng)
-        result = runner.step(action)
+        _, reward, done, _ = runner.step(action)
         obs_l.append(obs)
         act_l.append(action)
-        rew_l.append(result.reward)
-        done_l.append(result.done)
+        rew_l.append(reward)
+        done_l.append(done)
     bootstrap = 0.0 if done_l[-1] else forward_table(critic)[0][runner.obs, 0]
     returns = fragment_returns(rew_l, done_l, hp.gamma, bootstrap)
     return np.asarray(obs_l), np.asarray(act_l), returns

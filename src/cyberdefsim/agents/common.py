@@ -244,17 +244,16 @@ class EpisodeRunner:
         return self.env.reset(path)
 
     def step(self, action: int):
-        """Apply an action; auto-resets on episode end. Returns the StepOutcome."""
-        result = self.env.step(action)
-        self.episode_return += result.reward
+        """Apply an action; auto-resets on episode end. Returns the env's
+        (observation, reward, done, info) tuple."""
+        result = obs, reward, done, info = self.env.step(action)
+        self.episode_return += reward
         self.episode_length += 1
-        if result.done:
+        if done:
             if self.on_episode_end is not None:
-                win = result.info.get("outcome") in (DEFENDER_WIN, TRUNCATED)
-                self.on_episode_end(
-                    win, self.episode_return, self.episode_length, result.info
-                )
+                win = info.get("outcome") in (DEFENDER_WIN, TRUNCATED)
+                self.on_episode_end(win, self.episode_return, self.episode_length, info)
             self.obs = self._reset()
         else:
-            self.obs = result.observation
+            self.obs = obs
         return result

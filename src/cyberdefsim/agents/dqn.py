@@ -96,6 +96,5 @@ class DqnTrainer:
         for _ in range(n_steps):
             obs = self.runner.obs
             action = self.agent.act(obs)
-            result = self.runner.step(action)
-            self.agent.observe(obs, action, result.reward, result.observation,
-                               result.done)
+            next_obs, reward, done, _ = self.runner.step(action)
+            self.agent.observe(obs, action, reward, next_obs, done)

@@ -12,7 +12,6 @@ import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,13 +75,6 @@ class EnvConfig:
             except (TypeError, ValueError):
                 raise ValueError("seed must be an int, a list of ints or a "
                                  f"SeedSequence, got {self.seed!r}") from None
-
-
-class StepOutcome(NamedTuple):
-    observation: int
-    reward: float
-    done: bool
-    info: dict
 
 
 @lru_cache(maxsize=None)
@@ -176,8 +168,8 @@ class CyberDefenseEnv:
         self._done = True
         # per-step lookups built once from the public formulas: block odds by
         # action id and technique id, tactic depth by (dense) state index, the
-        # successor and the risk term's skill by technique id (action_aware
-        # reads beta per step), cost rows by action id (None: draws nothing)
+        # successor by technique id, cost rows by action id (None: draws
+        # nothing), and the reward before cost
         g, catalog, rho = self.graph, self.catalog, self.profile.rho
         self._beta = [{tid: block_probability(catalog, a, tech)
                        for tid, tech in g.techniques.items()}
@@ -185,15 +177,32 @@ class CyberDefenseEnv:
         self._depth = [g.tactic_depth(s) for s in (
             g.initiated, *map(g.state_of, sorted(g.techniques)), g.terminated)]
         self._successor = {tid: g.state_of(tid) for tid in g.techniques}
-        self._action_aware = config.risk_mode == RISK_ACTION_AWARE
-        best_block = best_block_table(catalog, g)
-        self._skill = {tid: float((1.0 - best_block[tid]) * rho
-                                  if config.risk_mode == RISK_RESIDUAL else rho)
-                       for tid in g.techniques}
         self._costs = [None if a.kind == INACTIVE else catalog.costs[a.id]
                        for a in catalog.actions]
         self._terminated, self._horizon = g.terminated, config.horizon
-        self._reward_model = config.reward_model
+        # ongoing (and truncated) rewards are rows[remaining][budget], one row
+        # set per distinct skill; action_aware reaches its rows by action id
+        # and attempted technique, residual and inactive by the next target
+        model, tau, rows = config.reward_model, self.profile.tau, {}
+
+        def row_set(skill):
+            skill = float(skill)
+            if skill not in rows:
+                rows[skill] = [[reward_of_transition(model, _p_goal(r, b, skill),
+                                                     ONGOING, 0.0) for b in range(tau + 1)]
+                               for r in range(len(g.techniques) + 1)]
+            return rows[skill]
+
+        self._action_aware = config.risk_mode == RISK_ACTION_AWARE
+        if self._action_aware:
+            self._risk = [{tid: row_set((1.0 - beta) * rho) for tid, beta in betas.items()}
+                          for betas in self._beta]
+        else:
+            best = best_block_table(catalog, g) if config.risk_mode == RISK_RESIDUAL \
+                else dict.fromkeys(g.techniques, 0.0)
+            self._risk = {tid: row_set((1.0 - best[tid]) * rho) for tid in g.techniques}
+        self._adversary_win_reward = reward_of_transition(model, 1.0, ADVERSARY_WIN, 0.0)
+        self._defender_win_reward = reward_of_transition(model, 0.0, DEFENDER_WIN, 0.0)
         self._valid_paths: set[AttackPath] = set()
 
     @property
@@ -217,7 +226,8 @@ class CyberDefenseEnv:
         # the pre-attack position is observed exactly
         return self.graph.initiated.index
 
-    def step(self, action_id: int) -> StepOutcome:
+    def step(self, action_id: int) -> tuple[int, float, bool, dict]:
+        """(observation, reward, done, info), the classic Gym step."""
         if self._done:
             raise RuntimeError("step() after episode end; call reset()")
         costs = self._costs[action_id]
@@ -240,17 +250,16 @@ class CyberDefenseEnv:
             costs[pre_depth][power_law_draw(self.catalog, draws)]
 
         self._t += 1
+        # the formula's last operation is `- cost`, and x - 0.0 == x
         if self._cursor >= self._len:
-            outcome, p_goal = ADVERSARY_WIN, 1.0
+            outcome, reward = ADVERSARY_WIN, self._adversary_win_reward - cost
         elif self._failures >= profile.tau:
-            outcome, p_goal = DEFENDER_WIN, 0.0
+            outcome, reward = DEFENDER_WIN, self._defender_win_reward - cost
         else:
             outcome = TRUNCATED if self._t >= self._horizon else ONGOING
-            p_goal = _p_goal(self._len - self._cursor, profile.tau - self._failures,
-                             float((1.0 - beta) * profile.rho) if self._action_aware
-                             else self._skill[path.steps[self._cursor]])
-
-        reward = reward_of_transition(self._reward_model, p_goal, outcome, cost)
+            rows = self._risk[action_id][target_id] if self._action_aware \
+                else self._risk[path.steps[self._cursor]]
+            reward = rows[self._len - self._cursor][profile.tau - self._failures] - cost
         obs = observe(self._position, profile, draws, self.graph)
 
         self._done = outcome != ONGOING
@@ -263,7 +272,7 @@ class CyberDefenseEnv:
             "stop_depth": pre_depth if outcome == DEFENDER_WIN
             else self._depth[self._position.index],
         }
-        return StepOutcome(obs, reward, self._done, info)
+        return obs, reward, self._done, info
 
 
 def scripted_best_return(path: AttackPath, profile: AdversaryProfile,

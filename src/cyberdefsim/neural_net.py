@@ -296,11 +296,13 @@ def net_to_dict(net: Mlp) -> dict:
 def net_from_dict(doc: dict) -> Mlp:
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
-    dims = [int(d) for d in doc["layer_dims"]]
+    dims = doc["layer_dims"]
+    if type(dims) is not list or any(type(d) is not int for d in dims):
+        raise ValueError(f"layer dims must be a list of JSON integers, got {dims!r}")
     _check_layout(dims, doc["head"])
     shapes = list(zip(dims, dims[1:]))
     if len(doc["weights"]) != len(shapes) or len(doc["biases"]) != len(shapes):
         raise ValueError(f"weights and biases do not match layer dims {dims}")
     raw = b"".join([_decode(w, s) for w, s in zip(doc["weights"], shapes)]
                    + [_decode(b, s[1:]) for b, s in zip(doc["biases"], shapes)])
-    return Mlp(dims, doc["head"], np.frombuffer(raw, dtype="<f8").astype(float))
+    return Mlp(list(dims), doc["head"], np.frombuffer(raw, dtype="<f8").astype(float))

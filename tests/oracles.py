@@ -20,7 +20,6 @@ from cyberdefsim.environment import (
     RISK_ACTION_AWARE,
     RISK_RESIDUAL,
     TRUNCATED,
-    StepOutcome,
     compute_p_goal,
     observe,
     reward_of_transition,
@@ -349,7 +348,7 @@ class ReferenceEnv:
         self.cursor = self.failures = self.t = 0
         return self.position.index
 
-    def step(self, action_id: int) -> StepOutcome:
+    def step(self, action_id: int) -> tuple[int, float, bool, dict]:
         cfg, graph, catalog = self.config, self.config.graph, self.config.catalog
         profile, path = cfg.profile, self.path
         action = catalog.actions[action_id]
@@ -385,9 +384,8 @@ class ReferenceEnv:
         obs = observe(self.position, profile, self.rng, graph)
         stop_depth = (pre_depth if outcome == DEFENDER_WIN
                       else graph.tactic_depth(self.position))
-        return StepOutcome(obs, reward, outcome != ONGOING,
-                           {"outcome": outcome, "cost": cost,
-                            "stop_depth": stop_depth})
+        return (obs, reward, outcome != ONGOING,
+                {"outcome": outcome, "cost": cost, "stop_depth": stop_depth})
 
 
 # -- two-state reference MDP and value iteration -------------------------------
@@ -426,14 +424,6 @@ def value_iteration(spec: TwoStateMdpSpec, gamma: float,
         v = nv
 
 
-@dataclass(frozen=True)
-class _MdpStep:
-    observation: np.ndarray
-    reward: float
-    done: bool
-    info: dict
-
-
 class TwoStateMdpEnv:
     """Episodic wrapper over TwoStateMdpSpec with the simulator's step API."""
 
@@ -460,4 +450,4 @@ class TwoStateMdpEnv:
         self._state = self.spec.transitions[self._state][action]
         self._t += 1
         done = self._t >= self.horizon
-        return _MdpStep(self._obs(), reward, done, {"outcome": "truncated" if done else "ongoing"})
+        return self._obs(), reward, done, {"outcome": "truncated" if done else "ongoing"}

@@ -33,7 +33,6 @@ from cyberdefsim.agents.common import (
 )
 from cyberdefsim.agents.dqn import DqnAgent, dqn_targets
 from cyberdefsim.agents.ppo import PPOTrainer, ppo_gradients
-from cyberdefsim.environment import StepOutcome
 from cyberdefsim.harness import ExperimentConfig, evaluate_policy, split_for_config, train
 from cyberdefsim.neural_net import (
     LINEAR,
@@ -123,7 +122,7 @@ class _PathEnv:
         return 0
 
     def step(self, action):
-        return StepOutcome(0, 0.0, True, {})
+        return 0, 0.0, True, {}
 
 
 class _TopUniform:

@@ -205,6 +205,14 @@ def with_qnet_dims(doc, dims):
     return {**doc, "networks": {"qnet": net_to_dict(init_mlp(dims, LINEAR, 0))}}
 
 
+def with_qnet_dims_field(doc, dims):
+    """doc with a fresh net of layer dims int(d) for d in `dims`, its
+    layer_dims field written as `dims`."""
+    doc = with_qnet_dims(doc, [int(d) for d in dims])
+    doc["networks"]["qnet"]["layer_dims"] = dims
+    return doc
+
+
 @pytest.mark.parametrize("mutate", [
     lambda doc: [],
     lambda doc: {**doc, "networks": []},
@@ -217,6 +225,10 @@ def with_qnet_dims(doc, dims):
     lambda doc: with_qnet_dims(doc, [15, 4, 23]),
     lambda doc: with_qnet_dims(doc, [19, 4, 23]),
     lambda doc: with_qnet_dims(doc, [17, 4, 5]),
+    lambda doc: with_qnet_dims_field(doc, [17.7, 4, 23]),
+    lambda doc: with_qnet_dims_field(doc, ["17", 4, 23]),
+    lambda doc: with_qnet_dims_field(doc, [17, 4.0, 23]),
+    lambda doc: with_qnet_dims_field(doc, [17, True, 23]),
 ])
 def test_eval_bad_checkpoint_names_the_file(runner, tmp_path, mutate):
     ckpt = tmp_path / "ckpt.json"

@@ -9,7 +9,8 @@ import pytest
 import oracles
 from cyberdefsim.adversary import AdversaryProfile, profile_by_name
 from cyberdefsim.attack_graph import AttackPath, GraphError, load_graph
-from cyberdefsim.defense import load_catalog
+from cyberdefsim.agents.common import EpisodeRunner
+from cyberdefsim.defense import block_probability, load_catalog
 from cyberdefsim.environment import (
     ADVERSARY_WIN,
     CyberDefenseEnv,
@@ -270,8 +271,8 @@ def test_step_before_reset_and_after_done(graph, catalog):
     path = graph.enumerate_paths()[0]
     env.reset(path)
     while True:
-        result = env.step(0)
-        if result.done:
+        _, _, done, _ = env.step(0)
+        if done:
             break
     with pytest.raises(RuntimeError):
         env.step(0)
@@ -285,9 +286,9 @@ def test_inactive_defense_lets_skill_decide(graph, catalog):
     for _ in range(30):
         env.reset(path)
         while True:
-            result = env.step(0)
-            if result.done:
-                outcomes.append(result.info["outcome"])
+            _, _, done, info = env.step(0)
+            if done:
+                outcomes.append(info["outcome"])
                 break
     assert outcomes.count(ADVERSARY_WIN) > 25
 
@@ -298,13 +299,13 @@ def test_horizon_truncation(graph, catalog):
     env.reset(path)
     done_at = None
     for t in range(1, 10):
-        result = env.step(1)  # reactive blocking stalls the attack
-        if result.done:
+        _, _, done, info = env.step(1)  # reactive blocking stalls the attack
+        if done:
             done_at = t
             break
     assert done_at <= 3
-    if result.info["outcome"] == TRUNCATED:
-        assert result.info["stop_depth"] == env.graph.tactic_depth(env._position)
+    if info["outcome"] == TRUNCATED:
+        assert info["stop_depth"] == env.graph.tactic_depth(env._position)
 
 
 def test_defender_win_reward_and_stop_depth(graph, catalog):
@@ -314,13 +315,13 @@ def test_defender_win_reward_and_stop_depth(graph, catalog):
     for _ in range(20):
         env.reset(path)
         while True:
-            result = env.step(1)
-            if result.done:
+            _, reward, done, info = env.step(1)
+            if done:
                 break
-        if result.info["outcome"] == DEFENDER_WIN:
+        if info["outcome"] == DEFENDER_WIN:
             # win payoff minus the executed action's cost
-            assert result.reward == pytest.approx(10.0 - result.info["cost"])
-            assert 0 <= result.info["stop_depth"] <= graph.goal_tactic
+            assert reward == pytest.approx(10.0 - info["cost"])
+            assert 0 <= info["stop_depth"] <= graph.goal_tactic
             return
     pytest.fail("no defender win in 20 reactive episodes")
 
@@ -333,9 +334,8 @@ def test_seeded_episode_determinism(graph, catalog):
         trace = [env.reset(path)]
         while True:
             result = env.step(2)
-            trace.append((result.observation, result.reward,
-                          result.done, result.info))
-            if result.done:
+            trace.append(result)
+            if result[2]:
                 break
         traces.append(trace)
     assert traces[0] == traces[1]
@@ -364,13 +364,119 @@ def test_step_matches_the_reference_step(graph, catalog, profile, risk_mode,
             action = int(pick.integers(23))
             got, want = env.step(action), ref.step(action)
             assert got == want
-            assert type(got.observation) is type(want.observation)
-            done = got.done
-        outcomes[got.info["outcome"]] += 1
+            assert type(got[0]) is type(want[0])
+            _, _, done, info = got
+        outcomes[info["outcome"]] += 1
     assert next_draws(env) == next_draws(ref)
     assert outcomes[TRUNCATED] and outcomes[ADVERSARY_WIN]
     # seven failures in eight steps: random defense never stops Av3 in time
     assert bool(outcomes[DEFENDER_WIN]) == (profile != "Av3")
+
+
+class _ForcedDraws:
+    """Uniforms from a seeded generator, after any values queued in `forced`
+    (cleared after each step): a step that reads (1 - 2**-53, 0.0) first is
+    neither blocked (beta < 1) nor failed (rho > 0); one that reads (0.0,
+    1 - 2**-53) is blocked (beta > 0) or, at beta = 0, failed."""
+
+    SUCCESS, FAILURE = (1 - 2 ** -53, 0.0), (0.0, 1 - 2 ** -53)
+
+    def __init__(self, seed):
+        self.rng, self.forced = np.random.default_rng(seed), []
+
+    def random(self):
+        return self.forced.pop(0) if self.forced else self.rng.random()
+
+
+@pytest.mark.parametrize("literal_iv", [False, True])
+@pytest.mark.parametrize("risk_mode",
+                         [RISK_RESIDUAL, RISK_ACTION_AWARE, RISK_INACTIVE])
+@pytest.mark.parametrize("profile", ["Av1", "Av2", "Av3"])
+def test_step_reward_is_the_formula_in_every_cell(graph, catalog, profile,
+                                                  risk_mode, literal_iv):
+    # one episode per (cursor, failures) cell the longest path can end a step
+    # in, every step's reward checked bit for bit against the public formula
+    # on the cell it ends in; at horizon 1 the first step truncates
+    profile = profile_by_name(profile)
+    model = RewardModel(literal_iv=literal_iv)
+    path = max(graph.enumerate_paths(), key=len)
+    best = best_block_table(catalog, graph)
+
+    def expected(action, attempted, cursor, failures, outcome, cost):
+        if outcome == ADVERSARY_WIN:
+            p_goal = 1.0
+        elif outcome == DEFENDER_WIN:
+            p_goal = 0.0
+        else:
+            rho = profile.rho
+            if risk_mode == RISK_RESIDUAL:
+                rho = (1.0 - best[path.steps[cursor]]) * rho
+            elif risk_mode == RISK_ACTION_AWARE:
+                rho = (1.0 - block_probability(catalog, catalog.actions[action],
+                                               graph.techniques[attempted])) * rho
+            p_goal = compute_p_goal(path, cursor, profile.tau - failures, rho)
+        return reward_of_transition(model, p_goal, outcome, cost)
+
+    def drive(env, moves, pick):
+        env.reset(path)
+        for move in moves:
+            action, attempted = int(pick.integers(23)), path.steps[env._cursor]
+            env._draws.forced = list(move)
+            _, reward, _, info = env.step(action)
+            env._draws.forced.clear()
+            cell = (env._cursor, env._failures)
+            want = expected(action, attempted, *cell, info["outcome"], info["cost"])
+            assert reward.hex() == want.hex()
+            seen[cell, info["outcome"]] += 1
+
+    seen, pick = Counter(), np.random.default_rng(5)
+    n, tau = len(path), profile.tau
+    env = CyberDefenseEnv(EnvConfig(graph, catalog, profile, model, horizon=64,
+                                    seed=3, risk_mode=risk_mode))
+    env._draws = _ForcedDraws(11)
+    for cursor in range(n + 1):
+        for failures in range(tau + 1):
+            if (cursor, failures) in ((0, 0), (n, tau)):
+                continue
+            wins = [_ForcedDraws.SUCCESS] * cursor
+            losses = [_ForcedDraws.FAILURE] * failures
+            drive(env, losses + wins if cursor == n else wins + losses, pick)
+            assert (env._cursor, env._failures) == (cursor, failures)
+    short = CyberDefenseEnv(EnvConfig(graph, catalog, profile, model, horizon=1,
+                                      seed=3, risk_mode=risk_mode))
+    short._draws = _ForcedDraws(12)
+    for move in (_ForcedDraws.SUCCESS, _ForcedDraws.FAILURE):
+        drive(short, [move], pick)
+    ongoing = {(c, f) for c in range(n) for f in range(tau)} - {(0, 0)}
+    assert {cell for cell, outcome in seen if outcome == ONGOING} == ongoing
+    assert {cell for cell, outcome in seen if outcome == ADVERSARY_WIN} == \
+        {(n, f) for f in range(tau)}
+    assert {cell for cell, outcome in seen if outcome == DEFENDER_WIN} == \
+        {(c, tau) for c in range(n)}
+    assert {cell for cell, outcome in seen if outcome == TRUNCATED} == {(1, 0), (0, 1)}
+
+
+def test_step_returns_a_plain_tuple_that_the_runner_passes_on(graph, catalog):
+    env = make_env(graph, catalog, seed=2)
+    returned = []
+
+    class Recording:
+        def reset(self, path):
+            return env.reset(path)
+
+        def step(self, action):
+            returned.append(env.step(action))
+            return returned[-1]
+
+    runner = EpisodeRunner(Recording(), graph.enumerate_paths(),
+                           np.random.default_rng(0))
+    for action in range(200):
+        result = runner.step(action % 23)
+        assert result is returned[-1]
+        assert type(result) is tuple and len(result) == 4
+        obs, reward, done, info = result
+        assert (type(obs), type(reward), type(done), type(info)) == \
+            (int, float, bool, dict)
 
 
 @pytest.mark.parametrize("carried", [0, 1])
@@ -430,12 +536,12 @@ def test_success_advances_cursor_and_position(graph, catalog):
     path = graph.enumerate_paths()[0]
     env.reset(path)
     for i, tid in enumerate(path.steps):
-        result = env.step(0)
+        _, _, done, info = env.step(0)
         assert env._cursor == i + 1
         assert env._position == graph.state_of(tid)
         assert env._failures == 0
-        assert result.done == (i + 1 == len(path))
-    assert result.info["outcome"] == ADVERSARY_WIN
+        assert done == (i + 1 == len(path))
+    assert info["outcome"] == ADVERSARY_WIN
 
 
 def test_failures_terminate_at_tau(graph):
@@ -446,11 +552,11 @@ def test_failures_terminate_at_tau(graph):
     env = make_env(graph, certain, profile=profile)
     env.reset(graph.enumerate_paths()[0])
     for expected in range(1, profile.tau):
-        assert not env.step(1).done
+        assert not env.step(1)[2]
         assert env._failures == expected
         assert (env._cursor, env._position) == (0, graph.initiated)
-    result = env.step(1)
-    assert result.done and result.info["outcome"] == DEFENDER_WIN
+    _, _, done, info = env.step(1)
+    assert done and info["outcome"] == DEFENDER_WIN
     assert env._position == graph.terminated
     with pytest.raises(RuntimeError):
         env.step(1)
@@ -461,8 +567,8 @@ def test_no_step_after_path_end(graph, catalog):
     path = graph.enumerate_paths()[0]
     env.reset(path)
     for _ in path.steps:
-        result = env.step(0)
-    assert result.done and env._cursor == len(path)
+        _, _, done, _ = env.step(0)
+    assert done and env._cursor == len(path)
     with pytest.raises(RuntimeError):
         env.step(0)
 
@@ -473,7 +579,7 @@ def test_risk_mode_alters_ongoing_reward(graph, catalog):
         kw = {"risk_mode": mode} if mode else {}
         env = make_env(graph, catalog, profile="Av3", seed=9, **kw)
         env.reset(graph.enumerate_paths()[0])
-        rewards[mode or "residual"] = env.step(0).reward
+        rewards[mode or "residual"] = env.step(0)[1]
     # with the null action the conditioned readings coincide with raw skill
     # only when no defense could apply; the residual term is never harsher
     assert rewards["residual"] >= rewards[RISK_INACTIVE]

@@ -31,7 +31,7 @@ from cyberdefsim.neural_net import (
 from cyberdefsim.agents.a2c import make_actor_critic
 from cyberdefsim.agents.common import HyperParams
 from cyberdefsim.agents.dqn import DqnAgent
-from cyberdefsim.harness import load_checkpoint, save_checkpoint
+from cyberdefsim.harness import ConfigError, load_checkpoint, save_checkpoint
 
 
 def test_init_is_seed_deterministic_and_shaped():
@@ -513,6 +513,20 @@ def test_checkpoint_v1_document_is_rejected():
           "biases": [b.tolist() for b in net.biases]}
     with pytest.raises(ValueError, match="version '1'"):
         net_from_dict(v1)
+
+
+@pytest.mark.parametrize("dims", [[3.7, 4, 2], ["3", 4, 2], [3, 4.0, 2],
+                                  [3, True, 2]])
+def test_layer_dims_must_be_json_integers(tmp_path, dims):
+    # each would load as the net int() makes of it, here 3-4-2 or 3-1-2
+    doc = net_to_dict(init_mlp([int(d) for d in dims], LINEAR, 5))
+    doc["layer_dims"] = dims
+    with pytest.raises(ValueError, match="JSON integers"):
+        net_from_dict(json.loads(json.dumps(doc)))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, "dqn", HyperParams(), 0, {"qnet": doc})
+    with pytest.raises(ConfigError, match="JSON integers"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("mutate, match", [
